@@ -11,40 +11,31 @@ build:
 # pass over the concurrent experiment driver, plus the exp golden digests
 # under the interpreter PP backend (the default test run covers the compiled
 # backend), so neither dispatch path can rot. The sharded-engine goldens run
-# under both synchronization schemes (window barrier and per-pair
-# watermarks) — simulated cycles must be bit-identical across all of them.
-# The metrics passes pin the observability layer: registry instruments exact
-# under the race detector, and metrics-enabled runs cycle-identical to the
-# golden digests. The sampled passes smoke-test the FLASHSIM_SAMPLE process
+# at the default worker count and at GOMAXPROCS=1 — simulated cycles must
+# be bit-identical across all of them. The metrics passes pin the
+# observability layer: registry instruments exact under the race detector,
+# and metrics-enabled runs cycle-identical to the golden digests. The sampled passes smoke-test the FLASHSIM_SAMPLE process
 # default end-to-end and run the sampling determinism suite (off-switch
 # bit-identity, repeatability, env resolution) under the race detector.
-# The fork-determinism passes pin snapshot/restore round trips: warm-started
-# (checkpoint + copy-on-write fork) runs must match cold runs bit-for-bit on
-# every Fig 4.1 app across {seq,sharded} x {interp,compiled}, and the machine
-# pool and fork suite run once more under the race detector.
+# The machine pool suite (recycled machines bit-identical to fresh ones)
+# runs once more under the race detector.
 verify:
 	$(GO) build ./... && $(GO) vet ./... && $(GO) test ./... && $(GO) test -race ./internal/exp -run Parallel
 	FLASHSIM_PP_DISPATCH=interp $(GO) test -count=1 ./internal/exp -run TestGolden
 	FLASHSIM_ENGINE=sharded $(GO) test -count=1 ./internal/exp -run TestGolden
 	GOMAXPROCS=1 FLASHSIM_ENGINE=sharded $(GO) test -count=1 ./internal/exp -run TestGolden
-	FLASHSIM_ENGINE=sharded FLASHSIM_ENGINE_SYNC=watermark $(GO) test -count=1 ./internal/exp -run TestGolden
-	$(GO) test -race ./internal/sim -run 'Sharded|Watermark'
+	$(GO) test -race ./internal/sim -run 'Sharded'
 	$(GO) test -race ./internal/metrics
 	$(GO) test -count=1 ./internal/exp -run TestMetrics
 	FLASHSIM_SAMPLE=default $(GO) test -count=1 ./internal/exp -run TestSampledSmoke
 	$(GO) test -race -count=1 ./internal/exp -run TestSampled
-	FLASHSIM_PP_DISPATCH=interp $(GO) test -count=1 ./internal/exp -run TestForkDeterminism
-	FLASHSIM_PP_DISPATCH=compiled $(GO) test -count=1 ./internal/exp -run TestForkDeterminism
-	FLASHSIM_ENGINE=sharded FLASHSIM_PP_DISPATCH=interp $(GO) test -count=1 ./internal/exp -run TestForkDeterminism
-	FLASHSIM_ENGINE=sharded FLASHSIM_PP_DISPATCH=compiled $(GO) test -count=1 ./internal/exp -run TestForkDeterminism
-	$(GO) test -race -count=1 ./internal/exp -run 'Pool|Fork'
+	$(GO) test -race -count=1 ./internal/exp -run 'Pool'
 
 test:
 	$(GO) test ./...
 
 # Microbenchmarks 5x -> BENCH_sim.json (ns/op, B/op, allocs/op per run),
-# including BenchmarkWindowSync (barrier vs watermark sync-op counts) and
-# the per-app engine profile summary in the "engine" section.
+# plus the Fig 4.1 macros under both PP backends and both engines.
 bench:
 	scripts/bench.sh
 

@@ -5,14 +5,12 @@
 //
 //	flashexp [-scale N] [-procs N] [-noverify] [-parallel N]
 //	         [-pp-dispatch compiled|interp] [-engine seq|sharded]
-//	         [-engine-sync barrier|watermark] [-metrics] [-metrics-out f]
-//	         [-pprof dir] <experiment>...
+//	         [-metrics] [-metrics-out f] [-pprof dir] <experiment>...
 //	flashexp all
 //	flashexp profile [-scale N] [-procs N] [-noverify]
-//	         [-engine seq|sharded] [-engine-sync barrier|watermark]
-//	         [-workers N] [-metrics-out f] [-pprof dir]
-//	flashexp explore [-app name] [-scale N] [-procs N] [-prefix-refs N]
-//	         [-cold] [-cache-dir dir] [-out f] [-table-out f] [-verify]
+//	         [-engine seq|sharded] [-workers N] [-metrics-out f] [-pprof dir]
+//	flashexp explore [-app name] [-scale N] [-procs N]
+//	         [-cache-dir dir] [-out f] [-table-out f] [-verify]
 //
 // Experiments: table3.3 table3.4 fig4.1 fig4.2 fig4.3 sec4.3 sec4.5
 // table5.1 table5.1small sec5.2 table5.2 table5.3 sec5.3
@@ -23,25 +21,21 @@
 //
 // The profile subcommand runs the Figure 4.1 applications with host-side
 // self-profiling and prints where the simulator's own wall time goes:
-// per-shard window-execution and barrier/horizon-wait shares, outbox drain,
-// merge and frontier-solve cost, synchronization-operation counts, and
-// per-app allocation/GC accounting. -engine, -engine-sync, and -workers
-// select the backend under profile, so barrier vs watermark runs of the
-// same suite can be compared from one command:
+// per-shard window-execution and barrier-wait shares, outbox drain, merge
+// cost, synchronization-operation counts, and per-app allocation/GC
+// accounting. -engine and -workers select the backend under profile, so
+// seq and sharded runs of the same suite can be compared:
 //
-//	flashexp profile -engine-sync=barrier
-//	flashexp profile -engine-sync=watermark -workers 4
+//	flashexp profile -engine seq
+//	flashexp profile -engine sharded -workers 2
 //
 // The explore subcommand sweeps the design space of Chapter 5's flexibility
 // knobs (protocol data structure, MAGIC data cache size, PP clock ratio,
-// network queue depth, network transit/lookahead window) crossed with the
-// host execution axes (engine, sync scheme) and prints a Pareto table of
-// slowdown-vs-ideal against a hardware-cost proxy. By default the sweep is
-// warm-started: the common workload prefix is simulated once per simulated
-// configuration, snapshotted, and forked copy-on-write into pooled machines;
-// -cache-dir adds a content-addressed result cache so repeated sweeps skip
-// simulation entirely. -cold runs every point from scratch instead — the
-// result files are byte-identical either way:
+// network queue depth, network transit/lookahead window) — 48 design
+// points, each a plain simulation — and prints a Pareto table of
+// slowdown-vs-ideal against a hardware-cost proxy. -cache-dir adds a
+// content-addressed result cache, so a repeated sweep skips simulation
+// entirely and writes a byte-identical result file:
 //
 //	flashexp explore -app fft -cache-dir /tmp/fc -out pareto.json
 package main
@@ -77,7 +71,6 @@ func main() {
 	jsonOut := flag.Bool("json", false, "emit experiment results as a JSON array on stdout")
 	ppDispatch := flag.String("pp-dispatch", "", "PP emulator engine: compiled or interp (host speed only; simulated results are identical)")
 	engine := flag.String("engine", "", "event engine: seq or sharded (host speed only; simulated results are identical)")
-	engineSync := flag.String("engine-sync", "", "sharded engine synchronization: barrier or watermark (host speed only; simulated results are identical)")
 	netModel := flag.String("net", "", "network latency model: uniform (paper average) or mesh (changes simulated timing)")
 	sample := flag.String("sample", "", "sampled-execution schedule for the sampled experiment: default or detail/stride[/warmup] cycles")
 	sampleApps := flag.String("sample-apps", "", "comma-separated app subset for the sampled experiment (empty = full Fig 4.1 suite)")
@@ -118,15 +111,6 @@ func main() {
 		os.Setenv("FLASHSIM_ENGINE", *engine)
 	default:
 		fmt.Fprintf(os.Stderr, "flashexp: unknown engine %q\n", *engine)
-		os.Exit(2)
-	}
-	switch *engineSync {
-	case "":
-		// Process default (FLASHSIM_ENGINE_SYNC if already set, else barrier).
-	case "barrier", "watermark":
-		os.Setenv("FLASHSIM_ENGINE_SYNC", *engineSync)
-	default:
-		fmt.Fprintf(os.Stderr, "flashexp: unknown engine-sync %q\n", *engineSync)
 		os.Exit(2)
 	}
 
@@ -288,16 +272,13 @@ func writeSnapshot(reg *metrics.Registry, path string) error {
 }
 
 // exploreMain is the `flashexp explore` subcommand: the design-space sweep
-// over flexibility knobs with warm-started (snapshot-forked, pooled, cached)
-// or cold execution.
+// over flexibility knobs, optionally backed by a result cache.
 func exploreMain(args []string) {
 	fs := flag.NewFlagSet("flashexp explore", flag.ExitOnError)
 	app := fs.String("app", "fft", "application to sweep (one of: "+apps.ValidNames()+")")
 	scale := fs.Int("scale", 0, "problem size divisor (0 = per-app sweep default)")
 	procs := fs.Int("procs", 4, "processor count")
-	prefixRefs := fs.Uint64("prefix-refs", 20000, "per-CPU reference count of the shared warm-start prefix")
-	cold := fs.Bool("cold", false, "run every point from scratch (no snapshot fork, pool, or cache)")
-	cacheDir := fs.String("cache-dir", "", "content-addressed result cache directory (warm mode only)")
+	cacheDir := fs.String("cache-dir", "", "content-addressed result cache directory (empty = no cache)")
 	out := fs.String("out", "", "write the deterministic sweep result JSON to this file (- = stdout)")
 	tableOut := fs.String("table-out", "", "write the Pareto table to this file instead of stdout")
 	verify := fs.Bool("verify", false, "verify application results at every simulated point")
@@ -321,17 +302,11 @@ func exploreMain(args []string) {
 	}
 
 	o := exp.ExploreOptions{
-		App:        *app,
-		Scale:      *scale,
-		Procs:      *procs,
-		PrefixRefs: *prefixRefs,
-		Warm:       !*cold,
-		CacheDir:   *cacheDir,
-		Verify:     *verify,
-	}
-	if *cold && *cacheDir != "" {
-		fmt.Fprintln(os.Stderr, "flashexp explore: -cache-dir is ignored with -cold")
-		o.CacheDir = ""
+		App:      *app,
+		Scale:    *scale,
+		Procs:    *procs,
+		CacheDir: *cacheDir,
+		Verify:   *verify,
 	}
 	start := time.Now()
 	res, err := exp.Explore(o)
@@ -364,9 +339,9 @@ func exploreMain(args []string) {
 	}
 	fmt.Fprint(tableDst, res.Table())
 	fmt.Fprintf(os.Stderr,
-		"flashexp explore: %s scale=%d procs=%d: %d points (%d Pareto), cache %d hits / %d misses, pool %d reuses / %d builds, %.1fs\n",
+		"flashexp explore: %s scale=%d procs=%d: %d points (%d Pareto), cache %d hits / %d misses, %.1fs\n",
 		res.App, res.Scale, res.Procs, len(res.Points), pareto,
-		res.CacheHits, res.CacheMisses, res.PoolHits, res.PoolBuilds, wall)
+		res.CacheHits, res.CacheMisses, wall)
 
 	if *out != "" {
 		buf, err := json.MarshalIndent(res, "", "  ")
@@ -392,7 +367,6 @@ func profileMain(args []string) {
 	procs := fs.Int("procs", 0, "override processor count (0 = paper defaults)")
 	noverify := fs.Bool("noverify", false, "skip result verification after runs")
 	engine := fs.String("engine", "", "event engine to profile: seq or sharded (default sharded)")
-	engineSync := fs.String("engine-sync", "", "sharded engine synchronization to profile: barrier or watermark (default barrier)")
 	workers := fs.Int("workers", 0, "sharded engine worker-pool size (0 = GOMAXPROCS)")
 	netModel := fs.String("net", "", "network latency model: uniform (paper average) or mesh (changes simulated timing)")
 	sample := fs.String("sample", "", "profile under a sampled-execution schedule: default or detail/stride[/warmup] cycles")
@@ -438,17 +412,6 @@ func profileMain(args []string) {
 		o.Engine = arch.EngineSharded
 	default:
 		fmt.Fprintf(os.Stderr, "flashexp profile: unknown engine %q\n", *engine)
-		os.Exit(2)
-	}
-	switch *engineSync {
-	case "":
-		// Process default (FLASHSIM_ENGINE_SYNC if set, else barrier).
-	case "barrier":
-		o.EngineSync = arch.EngineSyncBarrier
-	case "watermark":
-		o.EngineSync = arch.EngineSyncWatermark
-	default:
-		fmt.Fprintf(os.Stderr, "flashexp profile: unknown engine-sync %q\n", *engineSync)
 		os.Exit(2)
 	}
 	profs, err := exp.ProfileApps(o, exp.Fig41Apps())

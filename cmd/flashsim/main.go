@@ -6,7 +6,7 @@
 //	flashsim [-machine flash|ideal] [-app fft] [-procs 16] [-cache 1048576]
 //	         [-scale 4] [-placement rr|ft|node0] [-nospec] [-ppmode dual|single|dlx]
 //	         [-pp-dispatch compiled|interp] [-engine seq|sharded]
-//	         [-engine-sync barrier|watermark] [-net uniform|mesh]
+//	         [-net uniform|mesh]
 //	         [-mdc bytes] [-pp-clock-div N] [-net-queue-cap N] [-data-bufs N]
 //	         [-sample default|detail/stride[/warmup]]
 //	         [-json] [-trace out.jsonl]
@@ -53,7 +53,6 @@ func main() {
 	ppmode := flag.String("ppmode", "dual", "PP mode: dual, single, dlx")
 	ppDispatch := flag.String("pp-dispatch", "", "PP emulator engine: compiled or interp (host speed only; simulated results are identical)")
 	engine := flag.String("engine", "", "event engine: seq or sharded (host speed only; simulated results are identical)")
-	engineSync := flag.String("engine-sync", "", "sharded engine synchronization: barrier or watermark (host speed only; simulated results are identical)")
 	netModel := flag.String("net", "uniform", "network latency model: uniform (paper average) or mesh (per-pair 2-D mesh transit; changes simulated timing)")
 	sample := flag.String("sample", "", "sampled execution schedule: off, default, or detail/stride[/warmup] cycles (changes simulated timing; report gains an extrapolated estimate)")
 	proto := flag.String("protocol", "dynptr", "coherence protocol: dynptr, bitvec")
@@ -143,16 +142,6 @@ func main() {
 		cfg.Engine = arch.EngineSharded
 	default:
 		fatal("unknown engine %q", *engine)
-	}
-	switch *engineSync {
-	case "":
-		// Leave EngineSyncAuto: FLASHSIM_ENGINE_SYNC if set, else barrier.
-	case "barrier":
-		cfg.EngineSync = arch.EngineSyncBarrier
-	case "watermark":
-		cfg.EngineSync = arch.EngineSyncWatermark
-	default:
-		fatal("unknown engine-sync %q", *engineSync)
 	}
 	switch *netModel {
 	case "uniform":

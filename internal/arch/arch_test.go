@@ -38,12 +38,17 @@ func TestConfigValidate(t *testing.T) {
 	if err := good.Validate(); err != nil {
 		t.Fatal(err)
 	}
+	good.EngineSync = EngineSyncBarrier
+	if err := good.Validate(); err != nil {
+		t.Fatal(err)
+	}
 	cases := []func(*Config){
 		func(c *Config) { c.Nodes = 0 },
 		func(c *Config) { c.CacheSize = 100 },
 		func(c *Config) { c.MSHRs = 0 },
 		func(c *Config) { c.MDCSize = 999 },
 		func(c *Config) { c.MemBytesPerNode = 5000 },
+		func(c *Config) { c.EngineSync = EngineSyncBarrier + 1 },
 	}
 	for i, mut := range cases {
 		cfg := DefaultConfig()

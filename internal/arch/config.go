@@ -146,32 +146,15 @@ func (e EngineKind) String() string {
 	return "auto"
 }
 
-// EngineSync selects how the sharded engine's shards synchronize. Both
-// schemes are bit-identical in simulated behaviour; the choice only affects
-// host-side simulation speed (sim/watermark.go documents the protocol).
+// EngineSync names the sharded engine's shard-synchronization scheme. The
+// engine has exactly one, the uniform-window barrier, so both values mean
+// it; the type remains so existing configs that set it keep compiling.
 type EngineSync uint8
 
 const (
-	// EngineSyncAuto defers to the process default: the FLASHSIM_ENGINE_SYNC
-	// environment variable if set, the barrier scheme otherwise.
 	EngineSyncAuto EngineSync = iota
-	// EngineSyncBarrier forces the uniform-window full-barrier scheme.
 	EngineSyncBarrier
-	// EngineSyncWatermark forces the per-pair watermark scheme: shards
-	// advance when their input watermarks allow, using the distance-aware
-	// lookahead matrix when NetModel is the mesh.
-	EngineSyncWatermark
 )
-
-func (s EngineSync) String() string {
-	switch s {
-	case EngineSyncBarrier:
-		return "barrier"
-	case EngineSyncWatermark:
-		return "watermark"
-	}
-	return "auto"
-}
 
 // NetModel selects the interconnect latency model.
 type NetModel uint8
@@ -244,9 +227,8 @@ type Config struct {
 	// speed only; simulated results are bit-identical across engines).
 	Engine EngineKind
 
-	// EngineSync selects the sharded engine's shard-synchronization scheme
-	// (simulation speed only; simulated results are bit-identical across
-	// schemes). Ignored by the sequential engine.
+	// EngineSync must be EngineSyncAuto or EngineSyncBarrier; both select
+	// the sharded engine's window barrier.
 	EngineSync EngineSync
 
 	// NetModel selects the interconnect latency model. NetMesh changes
@@ -329,6 +311,9 @@ func (c *Config) Validate() error {
 	if c.PPClockDiv < 0 {
 		return fmt.Errorf("arch: PPClockDiv must be non-negative, got %d", c.PPClockDiv)
 	}
+	if c.EngineSync > EngineSyncBarrier {
+		return fmt.Errorf("arch: unknown EngineSync %d (the sharded engine synchronizes only by window barrier)", c.EngineSync)
+	}
 	if err := c.Sample.Validate(); err != nil {
 		return err
 	}
@@ -338,8 +323,7 @@ func (c *Config) Validate() error {
 // SimKey renders every field that affects simulated behaviour into a stable
 // string. Two configs with equal SimKeys produce bit-identical simulations
 // regardless of host-side choices (PPDispatch, Engine, EngineSync), which
-// is what makes snapshot restore across machines and content-addressed
-// result caching sound. Timing is included wholesale; host-only fields are
+// is what makes content-addressed result caching sound. Timing is included wholesale; host-only fields are
 // deliberately absent.
 func (c *Config) SimKey() string {
 	return fmt.Sprintf(

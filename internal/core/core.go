@@ -89,27 +89,11 @@ func resolveEngine(k arch.EngineKind) arch.EngineKind {
 	return arch.EngineSeq
 }
 
-// resolveSync maps EngineSyncAuto to the process default: the
-// FLASHSIM_ENGINE_SYNC environment variable if set, the barrier scheme
-// otherwise.
-func resolveSync(s arch.EngineSync) arch.EngineSync {
-	if s != arch.EngineSyncAuto {
-		return s
-	}
-	switch os.Getenv("FLASHSIM_ENGINE_SYNC") {
-	case "watermark":
-		return arch.EngineSyncWatermark
-	case "barrier":
-		return arch.EngineSyncBarrier
-	}
-	return arch.EngineSyncBarrier
-}
-
 // resolveSample maps a zero SampleSpec to the process default: the
 // FLASHSIM_SAMPLE environment variable if set (detail/stride[/warmup],
 // "default", or "off"), otherwise sampling stays off. An explicit non-zero
 // spec — including a Stride-0 "force off" spec like {Detail: 1} — wins over
-// the environment, mirroring FLASHSIM_ENGINE / FLASHSIM_ENGINE_SYNC.
+// the environment, mirroring FLASHSIM_ENGINE.
 func resolveSample(s arch.SampleSpec) arch.SampleSpec {
 	if s != (arch.SampleSpec{}) {
 		return s
@@ -208,10 +192,8 @@ func New(cfg arch.Config) (*Machine, error) {
 	}
 	// The lookahead window and the store-visibility quantum are both the
 	// minimum cross-node interaction delay: the uniform transit latency, or
-	// the closest-pair transit under the mesh model. The per-pair horizons
-	// of the watermark scheduler never undercut this quantum — a shard's
-	// horizon is bounded by the flush gate — so store visibility follows the
-	// same window quantization on every engine.
+	// the closest-pair transit under the mesh model, so store visibility
+	// follows the same window quantization on every engine.
 	w := sim.Cycle(cfg.Timing.NetTransit)
 	var mesh *network.Mesh
 	if cfg.NetModel == arch.NetMesh {
@@ -224,16 +206,8 @@ func New(cfg arch.Config) (*Machine, error) {
 		if cfg.Sample.Enabled() {
 			// Sampled execution runs fast-forward chains synchronously
 			// across node boundaries, so shards must execute on one
-			// goroutine in index order: force the single-worker barrier
-			// scheme (watermark scheduling buys nothing at one worker).
+			// goroutine in index order.
 			se.Workers = 1
-		} else if resolveSync(cfg.EngineSync) == arch.EngineSyncWatermark {
-			se.SetSync(sim.SyncWatermark)
-		}
-		if mesh != nil {
-			// Distance-aware lookahead: far-apart shards owe each other
-			// synchronization only at mesh-transit granularity.
-			se.SetLookahead(mesh)
 		}
 		m.Eng = se
 		m.sharded = true
@@ -250,9 +224,7 @@ func New(cfg arch.Config) (*Machine, error) {
 		}
 	})
 	m.Net = network.New(cfg.Nodes, sim.Cycle(cfg.Timing.NetTransit))
-	if mesh != nil {
-		m.Net.SetDistance(mesh)
-	}
+	m.Net.SetMesh(mesh)
 
 	if cfg.Kind == arch.KindFLASH {
 		prog, err := protocol.Build(&m.Cfg)
@@ -315,33 +287,15 @@ func (m *Machine) Run(sources []cpu.RefSource, limit sim.Cycle) error {
 	}
 	m.finAt = make([]sim.Cycle, len(m.Nodes))
 	m.finDone = make([]bool, len(m.Nodes))
-	m.AttachSources(sources)
-	for _, n := range m.Nodes {
-		n.CPU.Start()
-	}
-	m.Eng.SetLimit(limit)
-	return m.finishRun()
-}
-
-// AttachSources wires one reference source per processor without resetting
-// the per-node finish records. Run does this itself; the only direct caller
-// is the workload fork path, which installs replayed sources into a machine
-// whose finish records were just restored from a snapshot.
-func (m *Machine) AttachSources(sources []cpu.RefSource) {
 	for i, n := range m.Nodes {
 		i := i
 		n.CPU.SetSource(sources[i], func(at sim.Cycle) {
 			m.finDone[i] = true
 			m.finAt[i] = at
 		})
+		n.CPU.Start()
 	}
-}
-
-// finishRun drives the engine until its event population drains, publishes
-// buffered store views, and aggregates completion. Processors parked at a
-// snapshot pause point are accounted for — only a genuinely stuck processor
-// is a deadlock.
-func (m *Machine) finishRun() error {
+	m.Eng.SetLimit(limit)
 	err := m.Eng.Run()
 	// Publish any writes still buffered in node views so post-run
 	// verification and coherence checks see the final memory image.
@@ -358,9 +312,7 @@ func (m *Machine) finishRun() error {
 	running := 0
 	for i, done := range m.finDone {
 		if !done {
-			if !m.Nodes[i].CPU.Paused() {
-				running++
-			}
+			running++
 			continue
 		}
 		if m.finAt[i] > m.Elapsed {

@@ -63,22 +63,8 @@ func (m *Machine) publishMetrics() {
 			reg.Counter("flashsim_engine_barrier_wait_ns_total", "worker", itoa(w)).Add(uint64(ns))
 		}
 	}
-	for w, ns := range p.HorizonNS {
-		if ns != 0 {
-			reg.Counter("flashsim_engine_horizon_wait_ns_total", "worker", itoa(w)).Add(uint64(ns))
-		}
-	}
-	if p.SolveNS != 0 {
-		reg.Counter("flashsim_engine_solve_ns_total").Add(uint64(p.SolveNS))
-	}
 	if ops := p.SyncOps(); ops != 0 {
-		reg.Counter("flashsim_engine_sync_ops_total", "sync", p.Sync).Add(ops)
-	}
-	if p.Solves != 0 {
-		reg.Counter("flashsim_engine_solves_total").Add(p.Solves)
-		reg.Counter("flashsim_engine_solve_ops_total").Add(p.SolveOps)
-		reg.Counter("flashsim_engine_wait_ops_total").Add(p.WaitOps)
-		reg.Counter("flashsim_engine_gate_advances_total").Add(p.GateAdvances)
+		reg.Counter("flashsim_engine_barrier_sync_ops_total").Add(ops)
 	}
 	for i := range p.Shards {
 		s := &p.Shards[i]
@@ -90,15 +76,6 @@ func (m *Machine) publishMetrics() {
 			reg.Counter("flashsim_engine_empty_windows_total", "shard", shard).Add(s.EmptyWindows)
 		}
 		reg.Gauge("flashsim_engine_heap_hiwater", "shard", shard).SetMax(int64(s.HeapHiWater))
-		if s.Publishes != 0 {
-			reg.Counter("flashsim_engine_watermark_publishes_total", "shard", shard).Add(s.Publishes)
-		}
-		if s.InboxDrains != 0 {
-			reg.Counter("flashsim_engine_inbox_drains_total", "shard", shard).Add(s.InboxDrains)
-		}
-		if s.InboxFlushes != 0 {
-			reg.Counter("flashsim_engine_inbox_flushes_total", "shard", shard).Add(s.InboxFlushes)
-		}
 		for dst, n := range s.OutboxSent {
 			if n != 0 {
 				reg.Counter("flashsim_engine_outbox_msgs_total", "src", shard, "dst", itoa(dst)).Add(n)

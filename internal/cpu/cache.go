@@ -135,36 +135,6 @@ func (c *Cache) Fill(line uint64, s LineState) (victim uint64, victimState LineS
 	return victim, victimState, true
 }
 
-// CacheState is a deep copy of a cache's tag/state/LRU arrays, captured by
-// CaptureState for machine snapshots.
-type CacheState struct {
-	Tags     []uint64
-	State    []LineState
-	LastUsed []uint64
-	Clock    uint64
-}
-
-// CaptureState deep-copies the cache contents.
-func (c *Cache) CaptureState() CacheState {
-	return CacheState{
-		Tags:     append([]uint64(nil), c.tags...),
-		State:    append([]LineState(nil), c.state...),
-		LastUsed: append([]uint64(nil), c.lastUsed...),
-		Clock:    c.clock,
-	}
-}
-
-// RestoreState installs a captured state into a same-geometry cache.
-func (c *Cache) RestoreState(st CacheState) {
-	if len(st.Tags) != len(c.tags) {
-		panic("cpu: cache geometry mismatch in RestoreState")
-	}
-	copy(c.tags, st.Tags)
-	copy(c.state, st.State)
-	copy(c.lastUsed, st.LastUsed)
-	c.clock = st.Clock
-}
-
 // Reset empties the cache.
 func (c *Cache) Reset() {
 	for i := range c.tags {

@@ -212,17 +212,6 @@ type CPU struct {
 	running  bool
 	done     bool
 	onFinish func(at sim.Cycle)
-
-	// Snapshot pause support: when pauseAfter is nonzero, the run loop
-	// parks itself at the first batch-refill boundary at or after retiring
-	// pauseAfter references, instead of pulling the next batch. Pausing
-	// only at batch boundaries means the workload coroutine is parked
-	// inside a flush-yield and the CPU holds no partially consumed batch;
-	// outstanding non-blocking write misses then drain through deliver()
-	// without resuming the loop, so the machine quiesces.
-	pauseAfter uint64
-	paused     bool
-	pausedAt   sim.Cycle
 }
 
 // New creates a CPU. mem is this node's view of the machine-wide backing
@@ -296,12 +285,6 @@ func (c *CPU) run(vt sim.Cycle) {
 	}
 	for {
 		if !c.hasPending {
-			if c.pauseAfter != 0 && !c.paused && c.batchPos >= len(c.batch) &&
-				c.Stats.Refs >= c.pauseAfter {
-				c.paused = true
-				c.pausedAt = vt
-				return
-			}
 			c.srcNow = vt
 			ref, ok := c.nextRef()
 			if !ok {
@@ -905,7 +888,7 @@ func (c *CPU) FFLocalRead(a arch.Addr, pendingBusy uint32) (uint64, bool) {
 	c.Stats.Refs++
 	c.Stats.Reads++
 	c.Stats.FFWork++
-	return c.mem.Load(uint64(a)/8), true
+	return c.mem.Load(uint64(a) / 8), true
 }
 
 // --- backing-store access (sim goroutine only) ---
@@ -970,91 +953,7 @@ func (c *CPU) allocMSHR() int {
 	panic("cpu: allocMSHR with none free")
 }
 
-// --- snapshot pause / capture / restore / reset ---
-
-// PauseAfter arms (nonzero) or disarms (zero) the snapshot pause: the run
-// loop parks at the first batch-refill boundary at or after retiring k
-// references. Threads that finish before k finish normally.
-func (c *CPU) PauseAfter(k uint64) { c.pauseAfter = k }
-
-// Paused reports whether the run loop is parked at a pause point.
-func (c *CPU) Paused() bool { return c.paused }
-
-// PausedAt returns the virtual cycle at which the run loop parked.
-func (c *CPU) PausedAt() sim.Cycle { return c.pausedAt }
-
-// Finished reports whether the reference stream ran out.
-func (c *CPU) Finished() bool { return c.done }
-
-// ResumeAt clears the pause and restarts the run loop at absolute cycle at
-// (>= both the engine clock and PausedAt). Callers disarm or re-arm
-// PauseAfter first. No-op for a finished processor.
-func (c *CPU) ResumeAt(at sim.Cycle) {
-	if c.done {
-		return
-	}
-	c.paused = false
-	c.eng.At(at, func() { c.run(at) })
-}
-
-// CPUState is the deterministic simulation state of one quiesced processor,
-// captured by CaptureState.
-type CPUState struct {
-	Cache    CacheState
-	Bus      sim.Server
-	Stats    Stats
-	InstFrac uint32
-	Done     bool
-	PausedAt sim.Cycle
-}
-
-// CaptureState snapshots a quiesced processor: parked at a pause point (or
-// finished) with no outstanding misses, no partially consumed batch, and no
-// pending reference. Machine.Snapshot establishes those conditions by
-// draining the engine after every pause fires; anything else is a bug, so
-// it panics rather than capturing an unreproducible state.
-func (c *CPU) CaptureState() CPUState {
-	if !c.paused && !c.done {
-		panic(fmt.Sprintf("cpu%d: CaptureState while running", c.ID))
-	}
-	if c.inUse != 0 || c.hasPending || c.blocked != blockNone || c.batchPos < len(c.batch) {
-		panic(fmt.Sprintf("cpu%d: CaptureState before quiescence: %s", c.ID, c.DebugState()))
-	}
-	st := CPUState{
-		Cache:    c.Cache.CaptureState(),
-		Bus:      c.Bus,
-		Stats:    c.Stats,
-		InstFrac: c.instFrac,
-		Done:     c.done,
-		PausedAt: c.pausedAt,
-	}
-	st.Stats.WinWork = append([]uint64(nil), c.Stats.WinWork...)
-	return st
-}
-
-// RestoreState installs a captured processor state into a freshly
-// constructed or Reset CPU of the same configuration, leaving it parked
-// exactly as the donor was. The reference source is reattached separately
-// (workload replay); ResumeAt restarts execution.
-func (c *CPU) RestoreState(st CPUState) {
-	c.Cache.RestoreState(st.Cache)
-	c.Bus = st.Bus
-	c.Stats = st.Stats
-	c.Stats.WinWork = append([]uint64(nil), st.Stats.WinWork...)
-	c.instFrac = st.InstFrac
-	c.done = st.Done
-	c.paused = !st.Done
-	c.pausedAt = st.PausedAt
-	c.pauseAfter = 0
-	c.batch, c.batchPos = nil, 0
-	c.pending, c.hasPending, c.pendingAt = Ref{}, false, 0
-	c.blocked, c.blockEntry = blockNone, 0
-	c.issuing = -1
-	for i := range c.mshrs {
-		c.mshrs[i] = mshrEntry{}
-	}
-	c.inUse = 0
-}
+// --- reset ---
 
 // Reset returns the processor to its freshly constructed state, keeping
 // configuration, engine wiring, and the store view attachment.
@@ -1073,7 +972,6 @@ func (c *CPU) Reset() {
 	c.instFrac = 0
 	c.done = false
 	c.src, c.onFinish = nil, nil
-	c.paused, c.pausedAt, c.pauseAfter = false, 0, 0
 	c.srcNow = 0
 	c.phaseDet, c.phaseEnd = false, 0
 }

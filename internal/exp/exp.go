@@ -41,9 +41,6 @@ type Options struct {
 	// Engine overrides the event-engine backend for the profile harness
 	// (EngineAuto keeps the harness default: sharded).
 	Engine arch.EngineKind
-	// EngineSync selects the sharded engine's synchronization scheme for
-	// the profile harness (EngineSyncAuto = process default).
-	EngineSync arch.EngineSync
 	// EngineWorkers overrides the sharded engine's worker-pool size for the
 	// profile harness (0 = GOMAXPROCS-derived).
 	EngineWorkers int

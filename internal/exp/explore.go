@@ -5,27 +5,10 @@ package exp
 // depth, directory protocol, fabric latency — and maps each design point's
 // flexibility cost (slowdown versus the ideal hardwired machine, Figure
 // 4.1's metric) against a hardware cost proxy, marking the Pareto
-// frontier. Host-side execution choices (event engine, sync scheme) ride
-// along as sweep axes to exercise the full backend matrix; they change no
-// simulated behavior, which is exactly what the warm path exploits.
-//
-// Both modes run each point as a phased simulation (prefix to a pause
-// point, checkpoint-compatible quiescence, resume), so a point's Report is
-// identical however it is produced:
-//
-//   - cold: every point builds a fresh machine, simulates prefix + resume
-//     in place, and discards the machine. The naive sweep.
-//   - warm: machines come from a MachinePool; each simulated point runs
-//     its prefix on a pooled donor, checkpoints, snapshot-forks into a
-//     second pooled machine (copy-on-write store), and resumes there; the
-//     Report lands in a content-addressed ResultCache keyed by the
-//     normalized simulated-behavior digest. Points that differ only in
-//     host-side axes are cache hits and never simulate.
-//
-// Fork continuations are bit-identical to cold continuations
-// (TestForkDeterminism), so cold and warm sweeps emit byte-identical
-// result files — scripts/bench.sh asserts this, along with the warm
-// speedup floor.
+// frontier. Every point is a distinct simulated machine, run as a plain
+// simulation (RunApp); an optional content-addressed ResultCache keyed by
+// the normalized simulated-behavior digest lets a repeated sweep skip
+// simulation entirely and reproduce the result file byte for byte.
 
 import (
 	"crypto/sha256"
@@ -40,7 +23,6 @@ import (
 	"flashsim/internal/arch"
 	"flashsim/internal/core"
 	"flashsim/internal/stats"
-	"flashsim/internal/workload"
 )
 
 // ExploreOptions configures the design-space sweep.
@@ -52,14 +34,8 @@ type ExploreOptions struct {
 	Scale int
 	// Procs is the node count (default 4).
 	Procs int
-	// PrefixRefs is the per-processor reference count of the common prefix
-	// (default 20000, the fork-golden pause point).
-	PrefixRefs uint64
-	// Warm selects the pooled, snapshot-forked, cached path; false runs
-	// the naive cold sweep.
-	Warm bool
-	// CacheDir is the content-addressed result cache directory (warm mode
-	// only; empty disables caching).
+	// CacheDir is the content-addressed result cache directory (empty
+	// disables caching).
 	CacheDir string
 	// Verify re-checks application results on every simulated point.
 	Verify bool
@@ -67,10 +43,8 @@ type ExploreOptions struct {
 
 // ExplorePoint is one design point's outcome. All fields are deterministic
 // functions of the configuration and the application, so result files
-// compare byte-for-byte across cold/warm modes and cache hits/misses.
+// compare byte-for-byte across cache hits and misses.
 type ExplorePoint struct {
-	Engine      string `json:"engine"`
-	Sync        string `json:"sync"`
 	Protocol    string `json:"protocol"`
 	MDCSize     int    `json:"mdc_bytes"`
 	PPClockDiv  int    `json:"pp_clock_div"`
@@ -91,27 +65,19 @@ type ExplorePoint struct {
 	// byte-comparing result files also proves the cache returned
 	// bit-identical Reports.
 	ReportDigest string `json:"report_digest"`
-
-	// CacheHit is set on points served from the result cache; excluded
-	// from the result file (it differs between a populating and a
-	// re-reading sweep) and reported in the run summary instead.
-	CacheHit bool `json:"-"`
 }
 
 // ExploreResult is the full sweep outcome. Marshaling it produces the
 // deterministic result file; the summary counters live outside it.
 type ExploreResult struct {
-	App        string         `json:"app"`
-	Scale      int            `json:"scale"`
-	Procs      int            `json:"procs"`
-	PrefixRefs uint64         `json:"prefix_refs"`
-	Points     []ExplorePoint `json:"points"`
+	App    string         `json:"app"`
+	Scale  int            `json:"scale"`
+	Procs  int            `json:"procs"`
+	Points []ExplorePoint `json:"points"`
 
 	// Summary counters, not part of the deterministic result payload.
 	CacheHits   int `json:"-"`
 	CacheMisses int `json:"-"`
-	PoolHits    int `json:"-"`
-	PoolBuilds  int `json:"-"`
 }
 
 // exploreAxes defines the sweep grid. The NetTransit axis doubles as the
@@ -124,17 +90,21 @@ var (
 	exploreQCap    = []int{8, 16}
 	exploreProto   = []arch.Protocol{arch.ProtoDynPtr, arch.ProtoBitVector}
 	exploreTransit = []int{22, 14}
-	exploreHost    = []struct {
-		engine arch.EngineKind
-		sync   arch.EngineSync
-		name   string
-		sync_  string
-	}{
-		{arch.EngineSeq, arch.EngineSyncAuto, "seq", "-"},
-		{arch.EngineSharded, arch.EngineSyncBarrier, "sharded", "barrier"},
-		{arch.EngineSharded, arch.EngineSyncWatermark, "sharded", "watermark"},
-	}
 )
+
+// exploreConfig builds the FLASH machine of one design point.
+func exploreConfig(procs int, proto arch.Protocol, mdc, div, qcap, transit int) arch.Config {
+	cfg := arch.DefaultConfig()
+	cfg.Kind = arch.KindFLASH
+	cfg.Nodes = procs
+	cfg.MemBytesPerNode = 4 << 20
+	cfg.Protocol = proto
+	cfg.MDCSize = mdc
+	cfg.PPClockDiv = div
+	cfg.NetQueueCap = qcap
+	cfg.Timing.NetTransit = uint32(transit)
+	return cfg
+}
 
 func exploreCost(p ExplorePoint) float64 {
 	dir := 0.5
@@ -209,12 +179,11 @@ func (c *ResultCache) Put(key string, rep stats.Report) error {
 }
 
 // exploreCacheKey is the content address of one simulated point: the
-// normalized simulated-behavior key (engine/sync/dispatch excluded — they
-// cannot change the result) plus the workload identity and the phase
-// schedule.
-func exploreCacheKey(cfg arch.Config, app string, scale, procs int, prefixRefs uint64) string {
-	return fmt.Sprintf("explore-v1|%s|app=%s|scale=%d|procs=%d|prefix=%d",
-		core.SimKeyFor(cfg), app, scale, procs, prefixRefs)
+// normalized simulated-behavior key (engine/dispatch excluded — they cannot
+// change the result) plus the workload identity.
+func exploreCacheKey(cfg arch.Config, app string, scale, procs int) string {
+	return fmt.Sprintf("explore-v2|%s|app=%s|scale=%d|procs=%d",
+		core.SimKeyFor(cfg), app, scale, procs)
 }
 
 func reportDigest(rep stats.Report) string {
@@ -225,94 +194,6 @@ func reportDigest(rep stats.Report) string {
 	}
 	sum := sha256.Sum256(buf)
 	return hex.EncodeToString(sum[:8])
-}
-
-// runPhased runs app on m as a phased simulation — prefix to pauseRefs,
-// then resume in place — and returns the world (for verification).
-func runPhased(m *core.Machine, app string, p apps.Params, pauseRefs uint64) (*workload.World, *apps.App, error) {
-	w := workload.NewWorld(m)
-	a, err := apps.Build(app, w, p)
-	if err != nil {
-		return nil, nil, err
-	}
-	pre, err := w.RunPrefix(a.Run, pauseRefs, 0)
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := pre.Resume(); err != nil {
-		return nil, nil, err
-	}
-	return w, a, nil
-}
-
-// explorePointCold simulates one point the naive way: fresh machine,
-// phased run, discard.
-func explorePointCold(cfg arch.Config, o ExploreOptions, p apps.Params) (stats.Report, error) {
-	m, err := core.New(cfg)
-	if err != nil {
-		return stats.Report{}, err
-	}
-	_, a, err := runPhased(m, o.App, p, o.PrefixRefs)
-	if err != nil {
-		return stats.Report{}, err
-	}
-	if o.Verify {
-		if err := a.Verify(); err != nil {
-			return stats.Report{}, err
-		}
-		if err := m.CheckCoherence(); err != nil {
-			return stats.Report{}, err
-		}
-	}
-	rep := stats.Collect(m)
-	rep.Host = nil
-	return rep, nil
-}
-
-// explorePointWarm simulates one point the warm way: prefix on a pooled
-// donor, checkpoint, snapshot-fork into a second pooled machine, resume
-// there, return both machines to the pool.
-func explorePointWarm(cfg arch.Config, o ExploreOptions, p apps.Params, pool *MachinePool) (stats.Report, error) {
-	donor, err := pool.Get(cfg)
-	if err != nil {
-		return stats.Report{}, err
-	}
-	w := workload.NewWorld(donor)
-	a, err := apps.Build(o.App, w, p)
-	if err != nil {
-		return stats.Report{}, err
-	}
-	pre, err := w.RunPrefix(a.Run, o.PrefixRefs, 0)
-	if err != nil {
-		return stats.Report{}, err
-	}
-	ck, err := pre.Checkpoint()
-	if err != nil {
-		return stats.Report{}, err
-	}
-	fork, err := pool.Get(cfg)
-	if err != nil {
-		return stats.Report{}, err
-	}
-	w2, err := w.Fork(ck, fork, a.Run, 0)
-	if err != nil {
-		return stats.Report{}, err
-	}
-	if o.Verify {
-		w.M = fork // Verify closures read through the build-time world
-		if err := a.Verify(); err != nil {
-			return stats.Report{}, err
-		}
-		w.M = donor
-		if err := fork.CheckCoherence(); err != nil {
-			return stats.Report{}, err
-		}
-	}
-	rep := stats.Collect(w2.M)
-	rep.Host = nil
-	pool.Put(donor)
-	pool.Put(fork)
-	return rep, nil
 }
 
 // Explore runs the design-space sweep and returns Pareto-annotated points
@@ -330,69 +211,40 @@ func Explore(o ExploreOptions) (*ExploreResult, error) {
 	if o.Scale <= 0 {
 		o.Scale = goldenScaleFor(o.App)
 	}
-	if o.PrefixRefs == 0 {
-		o.PrefixRefs = 20000
-	}
 	p := apps.Params{Procs: o.Procs, Scale: o.Scale}
-
-	var pool *MachinePool
-	var cache *ResultCache
-	var err error
-	if o.Warm {
-		pool = NewMachinePool()
-		cache, err = NewResultCache(o.CacheDir)
-		if err != nil {
-			return nil, err
-		}
+	cache, err := NewResultCache(o.CacheDir)
+	if err != nil {
+		return nil, err
 	}
+	res := &ExploreResult{App: o.App, Scale: o.Scale, Procs: o.Procs}
 
-	res := &ExploreResult{App: o.App, Scale: o.Scale, Procs: o.Procs, PrefixRefs: o.PrefixRefs}
+	// simulate returns cfg's report from the cache, or runs it plainly and
+	// caches the result.
+	simulate := func(cfg arch.Config) (stats.Report, error) {
+		key := exploreCacheKey(cfg, o.App, o.Scale, o.Procs)
+		if rep, ok := cache.Get(key); ok {
+			res.CacheHits++
+			return rep, nil
+		}
+		r, err := RunApp(o.App, cfg, p, o.Verify)
+		if err != nil {
+			return stats.Report{}, err
+		}
+		rep := r.Report
+		rep.Host = nil
+		res.CacheMisses++
+		return rep, cache.Put(key, rep)
+	}
 
 	// The ideal baseline: the hardwired machine's timing ignores every
-	// swept MAGIC knob, so one (unphased) run serves the whole sweep.
+	// swept MAGIC knob, so one run serves the whole sweep.
 	idealCfg := arch.DefaultConfig()
 	idealCfg.Kind = arch.KindIdeal
 	idealCfg.Nodes = o.Procs
 	idealCfg.MemBytesPerNode = 4 << 20
-	var idealRep stats.Report
-	idealKey := exploreCacheKey(idealCfg, o.App, o.Scale, o.Procs, 0)
-	if rep, ok := cache.Get(idealKey); ok {
-		idealRep = rep
-		res.CacheHits++
-	} else {
-		var im *core.Machine
-		if pool != nil {
-			im, err = pool.Get(idealCfg)
-		} else {
-			im, err = core.New(idealCfg)
-		}
-		if err != nil {
-			return nil, err
-		}
-		iw := workload.NewWorld(im)
-		ia, err := apps.Build(o.App, iw, p)
-		if err != nil {
-			return nil, err
-		}
-		if err := iw.Run(ia.Run, 0); err != nil {
-			return nil, err
-		}
-		if o.Verify {
-			if err := ia.Verify(); err != nil {
-				return nil, err
-			}
-		}
-		idealRep = stats.Collect(im)
-		idealRep.Host = nil
-		if pool != nil {
-			pool.Put(im)
-		}
-		if cache != nil {
-			res.CacheMisses++
-			if err := cache.Put(idealKey, idealRep); err != nil {
-				return nil, err
-			}
-		}
+	idealRep, err := simulate(idealCfg)
+	if err != nil {
+		return nil, err
 	}
 
 	for _, proto := range exploreProto {
@@ -400,73 +252,36 @@ func Explore(o ExploreOptions) (*ExploreResult, error) {
 			for _, div := range explorePPDiv {
 				for _, qcap := range exploreQCap {
 					for _, transit := range exploreTransit {
-						for _, host := range exploreHost {
-							cfg := arch.DefaultConfig()
-							cfg.Kind = arch.KindFLASH
-							cfg.Nodes = o.Procs
-							cfg.MemBytesPerNode = 4 << 20
-							cfg.Protocol = proto
-							cfg.MDCSize = mdc
-							cfg.PPClockDiv = div
-							cfg.NetQueueCap = qcap
-							cfg.Timing.NetTransit = uint32(transit)
-							cfg.Engine = host.engine
-							cfg.EngineSync = host.sync
-
-							pt := ExplorePoint{
-								Engine:      host.name,
-								Sync:        host.sync_,
-								Protocol:    proto.String(),
-								MDCSize:     mdc,
-								PPClockDiv:  div,
-								NetQueueCap: qcap,
-								NetTransit:  transit,
-							}
-							key := exploreCacheKey(cfg, o.App, o.Scale, o.Procs, o.PrefixRefs)
-							var rep stats.Report
-							if cached, ok := cache.Get(key); ok {
-								rep = cached
-								pt.CacheHit = true
-								res.CacheHits++
-							} else {
-								if o.Warm {
-									rep, err = explorePointWarm(cfg, o, p, pool)
-								} else {
-									rep, err = explorePointCold(cfg, o, p)
-								}
-								if err != nil {
-									return nil, fmt.Errorf("point %s/%s proto=%s mdc=%d div=%d qcap=%d net=%d: %w",
-										pt.Engine, pt.Sync, pt.Protocol, mdc, div, qcap, transit, err)
-								}
-								if cache != nil {
-									res.CacheMisses++
-									if err := cache.Put(key, rep); err != nil {
-										return nil, err
-									}
-								}
-							}
-							pt.Elapsed = uint64(rep.Elapsed)
-							pt.IdealElapsed = uint64(idealRep.Elapsed)
-							pt.SlowdownPct = 100 * (float64(pt.Elapsed)/float64(pt.IdealElapsed) - 1)
-							pt.Cost = exploreCost(pt)
-							pt.ReportDigest = reportDigest(rep)
-							res.Points = append(res.Points, pt)
+						rep, err := simulate(exploreConfig(o.Procs, proto, mdc, div, qcap, transit))
+						if err != nil {
+							return nil, fmt.Errorf("point proto=%s mdc=%d div=%d qcap=%d net=%d: %w",
+								proto, mdc, div, qcap, transit, err)
 						}
+						pt := ExplorePoint{
+							Protocol:     proto.String(),
+							MDCSize:      mdc,
+							PPClockDiv:   div,
+							NetQueueCap:  qcap,
+							NetTransit:   transit,
+							Elapsed:      uint64(rep.Elapsed),
+							IdealElapsed: uint64(idealRep.Elapsed),
+							ReportDigest: reportDigest(rep),
+						}
+						pt.SlowdownPct = 100 * (float64(pt.Elapsed)/float64(pt.IdealElapsed) - 1)
+						pt.Cost = exploreCost(pt)
+						res.Points = append(res.Points, pt)
 					}
 				}
 			}
 		}
 	}
 	markPareto(res.Points)
-	if pool != nil {
-		res.PoolHits, res.PoolBuilds = pool.Hits, pool.Misses
-	}
 	return res, nil
 }
 
 // markPareto flags the nondominated points under (SlowdownPct, Cost)
 // minimization. Points with identical coordinates do not dominate each
-// other, so host-axis duplicates of a frontier point all carry the flag.
+// other, so ties on the frontier all carry the flag.
 func markPareto(pts []ExplorePoint) {
 	for i := range pts {
 		dominated := false
@@ -522,7 +337,7 @@ func (r *ExploreResult) Table() string {
 			mark = "*"
 		}
 		rows = append(rows, []string{
-			mark, p.Engine, p.Sync, p.Protocol,
+			mark, p.Protocol,
 			fmt.Sprintf("%dK", p.MDCSize>>10),
 			fmt.Sprintf("1/%d", p.PPClockDiv),
 			fmt.Sprintf("%d", p.NetQueueCap),
@@ -531,5 +346,5 @@ func (r *ExploreResult) Table() string {
 			fmt.Sprintf("%.1f%%", p.SlowdownPct),
 		})
 	}
-	return table([]string{"", "engine", "sync", "proto", "mdc", "pp-clk", "qcap", "net", "cost", "slowdown"}, rows)
+	return table([]string{"", "proto", "mdc", "pp-clk", "qcap", "net", "cost", "slowdown"}, rows)
 }

@@ -4,11 +4,12 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
-	"sync"
 	"testing"
 
 	"flashsim/internal/apps"
 	"flashsim/internal/arch"
+	"flashsim/internal/core"
+	"flashsim/internal/stats"
 	"flashsim/internal/workload"
 )
 
@@ -26,29 +27,28 @@ func trimmedGrid(t *testing.T) {
 	})
 }
 
-// TestExploreWarmMatchesCold requires the warm (pooled + snapshot-forked +
-// cached) sweep to emit byte-identical results to the naive cold sweep,
-// and a second warm sweep (all cache hits) to reproduce them again.
-func TestExploreWarmMatchesCold(t *testing.T) {
+// TestExploreCachedRerunIdentical requires a sweep served entirely from
+// the result cache to emit byte-identical results to the populating sweep,
+// and the populating sweep to match an uncached one.
+func TestExploreCachedRerunIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
 	trimmedGrid(t)
 	o := ExploreOptions{App: "fft", Verify: true}
 
-	cold, err := Explore(o)
+	plain, err := Explore(o)
 	if err != nil {
-		t.Fatalf("cold: %v", err)
+		t.Fatalf("uncached: %v", err)
 	}
-	o.Warm = true
 	o.CacheDir = t.TempDir()
-	warm1, err := Explore(o)
+	first, err := Explore(o)
 	if err != nil {
-		t.Fatalf("warm: %v", err)
+		t.Fatalf("populating: %v", err)
 	}
-	warm2, err := Explore(o)
+	second, err := Explore(o)
 	if err != nil {
-		t.Fatalf("warm rerun: %v", err)
+		t.Fatalf("cached rerun: %v", err)
 	}
 
 	enc := func(r *ExploreResult) string {
@@ -58,28 +58,64 @@ func TestExploreWarmMatchesCold(t *testing.T) {
 		}
 		return string(buf)
 	}
-	if enc(cold) != enc(warm1) {
-		t.Errorf("warm sweep differs from cold sweep:\ncold: %s\nwarm: %s", enc(cold), enc(warm1))
+	if enc(plain) != enc(first) {
+		t.Errorf("cached sweep differs from uncached sweep:\nuncached: %s\ncached: %s", enc(plain), enc(first))
 	}
-	if enc(warm1) != enc(warm2) {
-		t.Errorf("cached sweep differs from populating sweep:\nfirst: %s\nsecond: %s", enc(warm1), enc(warm2))
+	if enc(first) != enc(second) {
+		t.Errorf("cached rerun differs from populating sweep:\nfirst: %s\nsecond: %s", enc(first), enc(second))
 	}
 
-	// Host-axis duplicates must be cache hits: with 2 points per host
-	// variant (3 variants), the populating sweep simulates 2 points and
-	// the rerun simulates none.
-	if warm1.CacheMisses != 3 { // 2 FLASH points + 1 ideal baseline
-		t.Errorf("populating sweep missed %d times, want 3", warm1.CacheMisses)
+	// 2 FLASH points + 1 ideal baseline simulate once, then never again.
+	if first.CacheMisses != 3 || first.CacheHits != 0 {
+		t.Errorf("populating sweep: %d hits / %d misses, want 0 / 3", first.CacheHits, first.CacheMisses)
 	}
-	if warm2.CacheMisses != 0 {
-		t.Errorf("cached rerun missed %d times, want 0", warm2.CacheMisses)
+	if second.CacheMisses != 0 || second.CacheHits != 3 {
+		t.Errorf("cached rerun: %d hits / %d misses, want 3 / 0", second.CacheHits, second.CacheMisses)
 	}
-	if len(warm1.Points) != 6 {
-		t.Errorf("trimmed grid produced %d points, want 6", len(warm1.Points))
+	if len(first.Points) != 2 {
+		t.Errorf("trimmed grid produced %d points, want 2", len(first.Points))
 	}
-	for _, p := range warm1.Points {
+	for _, p := range first.Points {
 		if p.IdealElapsed == 0 || p.Elapsed == 0 {
 			t.Errorf("point %+v has zero cycles", p)
+		}
+	}
+}
+
+// TestExplorePointMatchesPlainRun requires an explore point to report
+// exactly what a fresh core.New + World.Run of the same configuration
+// reports: the sweep measures real design points, not a variant execution.
+func TestExplorePointMatchesPlainRun(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	trimmedGrid(t)
+	// At these sizes a pause-and-resume run of the same configuration
+	// drifts from a plain one (fft -0.24%, radix +0.31%).
+	for app, scale := range map[string]int{"fft": 16, "radix": 64} {
+		res, err := Explore(ExploreOptions{App: app, Scale: scale})
+		if err != nil {
+			t.Fatalf("%s: %v", app, err)
+		}
+		for _, pt := range res.Points {
+			cfg := exploreConfig(res.Procs, exploreProto[0], pt.MDCSize, pt.PPClockDiv, pt.NetQueueCap, pt.NetTransit)
+			m, err := core.New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w := workload.NewWorld(m)
+			a, err := apps.Build(app, w, apps.Params{Procs: res.Procs, Scale: res.Scale})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Run(a.Run, 0); err != nil {
+				t.Fatal(err)
+			}
+			rep := stats.Collect(m)
+			if pt.Elapsed != uint64(rep.Elapsed) || pt.ReportDigest != reportDigest(rep) {
+				t.Errorf("%s pp-clk 1/%d: explore point %d cycles (digest %s), plain run %d cycles (digest %s)",
+					app, pt.PPClockDiv, pt.Elapsed, pt.ReportDigest, rep.Elapsed, reportDigest(rep))
+			}
 		}
 	}
 }
@@ -104,7 +140,7 @@ func TestResultCacheRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := goldenConfig()
-	key := exploreCacheKey(cfg, "fft", 256, 4, 20000)
+	key := exploreCacheKey(cfg, "fft", 256, 4)
 	if _, ok := c.Get(key); ok {
 		t.Fatal("empty cache hit")
 	}
@@ -139,56 +175,5 @@ func TestResultCacheRoundTrip(t *testing.T) {
 	}
 	if _, ok := c.Get(key); ok {
 		t.Error("corrupt entry hit")
-	}
-}
-
-// TestMachinePoolConcurrent exercises the pool from parallel goroutines
-// running real simulations (the -race target in make verify).
-func TestMachinePoolConcurrent(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	pool := NewMachinePool()
-	cfg := goldenConfig()
-	var wg sync.WaitGroup
-	errs := make(chan error, 8)
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for k := 0; k < 2; k++ {
-				m, err := pool.Get(cfg)
-				if err != nil {
-					errs <- err
-					return
-				}
-				w := workload.NewWorld(m)
-				app, err := apps.Build("fft", w, apps.Params{Scale: 256})
-				if err != nil {
-					errs <- err
-					return
-				}
-				if err := w.Run(app.Run, 0); err != nil {
-					errs <- err
-					return
-				}
-				if err := app.Verify(); err != nil {
-					errs <- err
-					return
-				}
-				pool.Put(m)
-			}
-		}()
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
-	if pool.Hits+pool.Misses != 8 {
-		t.Errorf("pool served %d gets, want 8", pool.Hits+pool.Misses)
-	}
-	if pool.Misses > 4 {
-		t.Errorf("pool built %d machines for 4 goroutines", pool.Misses)
 	}
 }

@@ -14,7 +14,7 @@ import (
 // machines back from the pool, wiped by core.Machine.Reset (a property
 // TestMachineResetDeterminism pins: a recycled machine is bit-identical to
 // a fresh one). Machines are pooled under core.PoolKeyFor, so host-side
-// execution choices (engine, sync scheme, PP dispatch) never mix.
+// execution choices (engine, PP dispatch) never mix.
 type MachinePool struct {
 	mu   sync.Mutex
 	idle map[string][]*core.Machine
@@ -46,9 +46,9 @@ func (p *MachinePool) Get(cfg arch.Config) (*core.Machine, error) {
 	return core.New(cfg)
 }
 
-// Put wipes m and returns it to the pool. m may be in any state — mid-run
-// machines (a snapshot donor parked at its pause point) are fine; Reset
-// restores the freshly constructed state.
+// Put wipes m and returns it to the pool. m may be in any state — a run
+// that ended in an error is fine; Reset restores the freshly constructed
+// state.
 func (p *MachinePool) Put(m *core.Machine) {
 	m.Reset()
 	key := m.PoolKey()

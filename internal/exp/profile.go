@@ -19,8 +19,8 @@ import (
 
 // AppProfile is one application's host-cost profile.
 type AppProfile struct {
-	App  string
-	Run  *Run
+	App string
+	Run *Run
 	// Engine is the engine's phase attribution for this app's FLASH run.
 	Engine *sim.EngineProfile
 	// Host is the Go-runtime cost of the run (wall, allocs, GC).
@@ -47,7 +47,6 @@ func ProfileApps(o Options, names []string) ([]*AppProfile, error) {
 		if o.Engine != arch.EngineAuto {
 			cfg.Engine = o.Engine
 		}
-		cfg.EngineSync = o.EngineSync
 		cfg.Sample = o.Sample
 		if name == "os" {
 			cfg.Placement = arch.PlaceRoundRobin

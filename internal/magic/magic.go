@@ -853,70 +853,6 @@ func (e *ppEnv) MDCFill(addr uint64, writeback bool, dt uint64) uint64 {
 	return uint64((done - t + m.ppDiv - 1) / m.ppDiv)
 }
 
-// HandlerStat is one handler entry's accumulated occupancy in a snapshot.
-type HandlerStat struct {
-	Cycles sim.Cycle
-	Count  uint64
-	Lat    trace.Histogram
-}
-
-// MagicState is the deterministic simulation state of one quiesced
-// controller: protocol processor (registers + protocol memory, which holds
-// the directory), MDC contents, occupancy and statistics. Queues must be
-// empty and the PP idle — Machine.Snapshot drains the engine first.
-type MagicState struct {
-	PP       ppsim.PPState
-	MDC      ppsim.MDCState
-	PPOcc    sim.OccupancyMeter
-	Stats    Stats
-	LastEnd  sim.Cycle
-	RRPI     bool
-	Handlers map[string]HandlerStat
-}
-
-// CaptureState snapshots a quiesced controller. It panics if a handler is
-// in flight, any inbox queue is nonempty, or outbound slots / data buffers
-// are in use: such a machine has pending events and is not at a snapshot
-// point.
-func (m *Magic) CaptureState() MagicState {
-	if m.ctx != nil || m.dispatchScheduled || !m.queuesEmpty() ||
-		m.outNet != 0 || m.outPI != 0 || m.bufs != 0 {
-		panic(fmt.Sprintf("magic%d: CaptureState before quiescence: %s", m.ID, m.DebugState()))
-	}
-	st := MagicState{
-		PP:       m.PP.CaptureState(),
-		MDC:      m.PP.MDC.CaptureState(),
-		PPOcc:    m.PPOcc,
-		Stats:    m.Stats,
-		LastEnd:  m.lastEnd,
-		RRPI:     m.rrPI,
-		Handlers: make(map[string]HandlerStat, len(m.handlers)),
-	}
-	for name, agg := range m.handlers {
-		st.Handlers[name] = HandlerStat{Cycles: agg.cycles, Count: agg.count, Lat: agg.lat}
-	}
-	return st
-}
-
-// RestoreState installs a captured state into a controller built for the
-// same protocol program and configuration.
-func (m *Magic) RestoreState(st MagicState) {
-	m.PP.RestoreState(st.PP)
-	m.PP.MDC.RestoreState(st.MDC)
-	m.PPOcc = st.PPOcc
-	m.Stats = st.Stats
-	m.lastEnd = st.LastEnd
-	m.rrPI = st.RRPI
-	for name, agg := range m.handlers {
-		h := st.Handlers[name] // zero value for never-invoked handlers
-		agg.cycles, agg.count, agg.lat = h.Cycles, h.Count, h.Lat
-	}
-	m.qPI, m.qNetReq, m.qNetRpl = nil, nil, nil
-	m.outNet, m.outPI, m.bufs = 0, 0, 0
-	m.ctx = nil
-	m.dispatchScheduled = false
-}
-
 // Reset returns the controller to its freshly constructed-and-attached
 // state: protocol memory reinitialized and pp_init re-run, MDC and all
 // statistics cleared. The interned jump table and handler map survive.

@@ -90,33 +90,6 @@ func (m *Memory) Write(at sim.Cycle) (done sim.Cycle) {
 	return end
 }
 
-// MemoryState is the deterministic simulation state of one memory
-// controller, as captured by CaptureState. Server is a value type
-// (busyUntil / occupancy / job count), so plain assignment deep-copies it.
-type MemoryState struct {
-	Srv         sim.Server
-	Reads       uint64
-	Writes      uint64
-	SpecReads   uint64
-	SpecUseless uint64
-}
-
-// CaptureState snapshots the controller's simulation state. Tracer and
-// sampler attachments are host-side observers and are not captured.
-func (m *Memory) CaptureState() MemoryState {
-	return MemoryState{
-		Srv: m.srv, Reads: m.Reads, Writes: m.Writes,
-		SpecReads: m.SpecReads, SpecUseless: m.SpecUseless,
-	}
-}
-
-// RestoreState installs a previously captured state.
-func (m *Memory) RestoreState(st MemoryState) {
-	m.srv = st.Srv
-	m.Reads, m.Writes = st.Reads, st.Writes
-	m.SpecReads, m.SpecUseless = st.SpecReads, st.SpecUseless
-}
-
 // Reset returns the controller to its freshly constructed state, keeping
 // timing and attachments.
 func (m *Memory) Reset() {

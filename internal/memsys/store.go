@@ -9,10 +9,6 @@ package memsys
 // the dense semantics exactly.
 type Store struct {
 	chunks [][]uint64
-	// shared[i] marks chunk i as referenced by a snapshot (or restored from
-	// one): it must be cloned before the next write through Word. Reads go
-	// through shared chunks directly.
-	shared []bool
 }
 
 const (
@@ -24,7 +20,7 @@ const (
 // memory is allocated until it is written.
 func NewStore(words int) *Store {
 	n := (words + storeChunkWords - 1) >> storeChunkShift
-	return &Store{chunks: make([][]uint64, n), shared: make([]bool, n)}
+	return &Store{chunks: make([][]uint64, n)}
 }
 
 // Load returns word i. Reads of never-written chunks return zero without
@@ -37,56 +33,18 @@ func (s *Store) Load(i uint64) uint64 {
 	return c[i&(storeChunkWords-1)]
 }
 
-// Word returns a writable pointer to word i, materializing its chunk if
-// needed and cloning it first when it is shared with a snapshot. Within
-// one machine lifetime (no Snapshot/Restore), chunks are never moved or
-// freed, so pointers taken before the simulation starts (workload
-// initialization) stay valid throughout; after SnapshotChunks or
-// RestoreShared, previously taken pointers may refer to a frozen copy and
-// must be re-fetched.
+// Word returns a stable pointer to word i, materializing its chunk if
+// needed. Chunks are never moved or freed before Reset, so pointers taken
+// before the simulation starts (workload initialization) stay valid
+// throughout a run.
 func (s *Store) Word(i uint64) *uint64 {
 	ci := i >> storeChunkShift
 	c := s.chunks[ci]
 	if c == nil {
 		c = make([]uint64, storeChunkWords)
 		s.chunks[ci] = c
-	} else if s.shared[ci] {
-		clone := make([]uint64, storeChunkWords)
-		copy(clone, c)
-		s.chunks[ci] = clone
-		s.shared[ci] = false
-		c = clone
 	}
 	return &c[i&(storeChunkWords-1)]
-}
-
-// SnapshotChunks freezes the store's current contents and returns the
-// chunk-pointer table. Every materialized chunk is marked shared, so the
-// donor (and any store restored from the returned table) clones a chunk
-// before its first subsequent write — the returned table's data is
-// immutable from this point on and may back any number of forks.
-func (s *Store) SnapshotChunks() [][]uint64 {
-	snap := make([][]uint64, len(s.chunks))
-	copy(snap, s.chunks)
-	for i, c := range s.chunks {
-		if c != nil {
-			s.shared[i] = true
-		}
-	}
-	return snap
-}
-
-// RestoreShared replaces the store's contents with a chunk table produced
-// by SnapshotChunks on a same-sized store. All installed chunks are marked
-// shared: the first write to each clones it, leaving the snapshot intact.
-func (s *Store) RestoreShared(chunks [][]uint64) {
-	if len(chunks) != len(s.chunks) {
-		panic("memsys: RestoreShared chunk count mismatch")
-	}
-	copy(s.chunks, chunks)
-	for i, c := range s.chunks {
-		s.shared[i] = c != nil
-	}
 }
 
 // Reset drops all materialized chunks, returning the store to its
@@ -94,7 +52,6 @@ func (s *Store) RestoreShared(chunks [][]uint64) {
 func (s *Store) Reset() {
 	for i := range s.chunks {
 		s.chunks[i] = nil
-		s.shared[i] = false
 	}
 }
 
@@ -168,7 +125,6 @@ func (v *View) Flush() {
 }
 
 // Pending reports how many buffered writes have not been flushed.
-// Snapshot capture asserts this is zero after a boundary flush.
 func (v *View) Pending() int { return len(v.log) }
 
 // Reset empties the log and clears write-through mode.

@@ -2,93 +2,13 @@ package memsys
 
 import "testing"
 
-// A snapshot must be immutable: writes by the donor after SnapshotChunks
-// land in private clones, and a store restored from the snapshot sees the
-// frozen values until it writes its own clones.
-func TestStoreSnapshotCopyOnWrite(t *testing.T) {
-	words := 3 * storeChunkWords
-	s := NewStore(words)
-	*s.Word(0) = 11
-	*s.Word(uint64(storeChunkWords)) = 22 // chunk 1; chunk 2 untouched
-
-	snap := s.SnapshotChunks()
-
-	// Donor write after snapshot clones the chunk; snapshot data intact.
-	*s.Word(1) = 99
-	if got := snap[0][1]; got != 0 {
-		t.Fatalf("snapshot chunk mutated by donor write: word1=%d", got)
-	}
-	if got := s.Load(0); got != 11 {
-		t.Fatalf("donor lost pre-snapshot value: word0=%d", got)
-	}
-
-	// Fork restored from snapshot sees frozen values.
-	f := NewStore(words)
-	f.RestoreShared(snap)
-	if got := f.Load(0); got != 11 {
-		t.Fatalf("fork word0=%d, want 11", got)
-	}
-	if got := f.Load(1); got != 0 {
-		t.Fatalf("fork sees donor's post-snapshot write: word1=%d", got)
-	}
-	if got := f.Load(uint64(storeChunkWords)); got != 22 {
-		t.Fatalf("fork chunk1 word=%d, want 22", got)
-	}
-
-	// Fork write clones; donor and snapshot unaffected.
-	*f.Word(0) = 77
-	if got := f.Load(0); got != 77 {
-		t.Fatalf("fork write lost: word0=%d", got)
-	}
-	if got := s.Load(0); got != 11 {
-		t.Fatalf("fork write leaked into donor: word0=%d", got)
-	}
-	if got := snap[0][0]; got != 11 {
-		t.Fatalf("fork write leaked into snapshot: word0=%d", got)
-	}
-
-	// Untouched chunk stays shared (nil in both snapshot and fork).
-	if snap[2] != nil {
-		t.Fatalf("untouched chunk materialized in snapshot")
-	}
-	if got := f.Load(uint64(2 * storeChunkWords)); got != 0 {
-		t.Fatalf("untouched chunk reads %d, want 0", got)
-	}
-}
-
-// Two forks of one snapshot must not observe each other's writes.
-func TestStoreForkIsolation(t *testing.T) {
-	s := NewStore(storeChunkWords)
-	*s.Word(5) = 1
-	snap := s.SnapshotChunks()
-
-	a := NewStore(storeChunkWords)
-	a.RestoreShared(snap)
-	b := NewStore(storeChunkWords)
-	b.RestoreShared(snap)
-
-	*a.Word(5) = 100
-	*b.Word(5) = 200
-	if got := a.Load(5); got != 100 {
-		t.Fatalf("fork a word5=%d, want 100", got)
-	}
-	if got := b.Load(5); got != 200 {
-		t.Fatalf("fork b word5=%d, want 200", got)
-	}
-	if got := s.Load(5); got != 1 {
-		t.Fatalf("donor word5=%d, want 1", got)
-	}
-}
-
 func TestStoreReset(t *testing.T) {
 	s := NewStore(storeChunkWords)
 	*s.Word(3) = 42
-	s.SnapshotChunks()
 	s.Reset()
 	if got := s.Load(3); got != 0 {
 		t.Fatalf("after Reset word3=%d, want 0", got)
 	}
-	// Post-reset writes must not require a clone (shared flags cleared).
 	*s.Word(3) = 7
 	if got := s.Load(3); got != 7 {
 		t.Fatalf("post-reset write lost: word3=%d", got)

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"net/http"
 	"strings"
 
 	"flashsim/internal/trace"
@@ -96,25 +95,4 @@ func writePromHistogram(b *strings.Builder, e *entry) {
 	}
 	fmt.Fprintf(b, "%s %d\n", id(e.name+"_sum", e.labels), h.Sum)
 	fmt.Fprintf(b, "%s %d\n", id(e.name+"_count", e.labels), h.Count)
-}
-
-// Handler returns an http.Handler exposing the registry: Prometheus text
-// by default, JSON with ?format=json or an application/json Accept header.
-// This is the metrics endpoint the future flashexpd service mode mounts.
-func (r *Registry) Handler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		wantJSON := req.URL.Query().Get("format") == "json" ||
-			strings.Contains(req.Header.Get("Accept"), "application/json")
-		if wantJSON {
-			w.Header().Set("Content-Type", "application/json")
-			if err := r.WriteJSON(w); err != nil {
-				http.Error(w, err.Error(), http.StatusInternalServerError)
-			}
-			return
-		}
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		if err := r.WritePrometheus(w); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
-	})
 }

@@ -30,10 +30,10 @@ type Sink interface {
 }
 
 // Network delivers messages between nodes after a fixed transit latency, or
-// — when a distance model is installed — after the model's per-pair transit.
+// — when a mesh is installed — after the mesh's per-pair transit.
 type Network struct {
 	transit sim.Cycle
-	dist    sim.DistanceModel // nil = uniform transit
+	mesh    *Mesh // nil = uniform transit
 	sinks   []Sink
 	ports   []*Port
 }
@@ -80,16 +80,16 @@ func (n *Network) Port(id arch.NodeID, sched sim.Scheduler) *Port {
 // Transit returns the fixed per-message transit latency.
 func (n *Network) Transit() sim.Cycle { return n.transit }
 
-// SetDistance installs a per-pair transit model (nil restores the uniform
-// latency). The model doubles as the engine's lookahead source, so actual
-// transit equals the conservative bound exactly — no message can undercut
-// the synchronization contract.
-func (n *Network) SetDistance(dm sim.DistanceModel) { n.dist = dm }
+// SetMesh installs the per-pair mesh transit model (nil restores the
+// uniform latency). Every mesh transit is at least MinPairTransit, the
+// sharded engine's lookahead window, so no message can undercut the
+// synchronization contract.
+func (n *Network) SetMesh(m *Mesh) { n.mesh = m }
 
 // TransitFor returns the transit latency charged from src to dst.
 func (n *Network) TransitFor(src, dst arch.NodeID) sim.Cycle {
-	if n.dist != nil {
-		return n.dist.MinTransit(int(src), int(dst))
+	if n.mesh != nil {
+		return n.mesh.MinTransit(int(src), int(dst))
 	}
 	return n.transit
 }
@@ -101,7 +101,9 @@ func (n *Network) TotalMsgs() uint64 { return n.total(func(p *Port) uint64 { ret
 func (n *Network) TotalDataMsgs() uint64 { return n.total(func(p *Port) uint64 { return p.DataMsgs }) }
 
 // TotalReplyMsgs sums reply messages sent across all ports.
-func (n *Network) TotalReplyMsgs() uint64 { return n.total(func(p *Port) uint64 { return p.ReplyMsgs }) }
+func (n *Network) TotalReplyMsgs() uint64 {
+	return n.total(func(p *Port) uint64 { return p.ReplyMsgs })
+}
 
 func (n *Network) total(f func(*Port) uint64) uint64 {
 	var t uint64
@@ -111,27 +113,6 @@ func (n *Network) total(f func(*Port) uint64) uint64 {
 		}
 	}
 	return t
-}
-
-// PortState is a port's deterministic state: the send-sequence counter
-// (which keys delivery order, so forks must continue it exactly) and the
-// message counters.
-type PortState struct {
-	Seq       uint64
-	Msgs      uint64
-	DataMsgs  uint64
-	ReplyMsgs uint64
-}
-
-// CaptureState snapshots the port counters.
-func (p *Port) CaptureState() PortState {
-	return PortState{Seq: p.seq, Msgs: p.Msgs, DataMsgs: p.DataMsgs, ReplyMsgs: p.ReplyMsgs}
-}
-
-// RestoreState installs captured port counters.
-func (p *Port) RestoreState(st PortState) {
-	p.seq = st.Seq
-	p.Msgs, p.DataMsgs, p.ReplyMsgs = st.Msgs, st.DataMsgs, st.ReplyMsgs
 }
 
 // Reset zeroes the sequence and message counters.
@@ -155,10 +136,7 @@ func (p *Port) Send(at sim.Cycle, m arch.Msg) {
 	if dst == nil {
 		panic(fmt.Sprintf("network: send %s to unattached node %d", m.Type, m.Dst))
 	}
-	arrive := at + n.transit
-	if n.dist != nil {
-		arrive = at + n.dist.MinTransit(int(p.src), int(m.Dst))
-	}
+	arrive := at + n.TransitFor(p.src, m.Dst)
 	p.seq++
 	if p.Tr.Active() {
 		// Each hop gets its own id, parented on the producing context, and
@@ -211,9 +189,8 @@ func meshSide(p int) int {
 // Mesh is the explicit 2-D mesh distance model behind AvgTransitFor's
 // average: nodes laid out row-major on the smallest k x k grid, transit from
 // src to dst = (1 hop in + Manhattan hops + 1 hop out) * 4 cycles + 3 header
-// cycles. It implements sim.DistanceModel, so the same distances that charge
-// message latency also bound the sharded engine's per-pair lookahead —
-// adjacent nodes synchronize tightly, opposite corners barely at all.
+// cycles. Its closest-pair transit is the sharded engine's lookahead window
+// under the mesh model.
 type Mesh struct {
 	k int
 }

@@ -115,36 +115,6 @@ func (m *MDC) Flush() {
 	}
 }
 
-// MDCState is a deep copy of the cache's tag/dirty/LRU arrays plus the
-// traffic counters, captured by CaptureState for machine snapshots.
-type MDCState struct {
-	Tags  []uint64
-	Dirty []bool
-	LRU   []uint8
-	Stats MDCStats
-}
-
-// CaptureState deep-copies the MDC contents and counters.
-func (m *MDC) CaptureState() MDCState {
-	return MDCState{
-		Tags:  append([]uint64(nil), m.tags...),
-		Dirty: append([]bool(nil), m.dirty...),
-		LRU:   append([]uint8(nil), m.lru...),
-		Stats: m.Stats,
-	}
-}
-
-// RestoreState installs a captured state into a same-geometry MDC.
-func (m *MDC) RestoreState(st MDCState) {
-	if len(st.Tags) != len(m.tags) {
-		panic("ppsim: MDC geometry mismatch in RestoreState")
-	}
-	copy(m.tags, st.Tags)
-	copy(m.dirty, st.Dirty)
-	copy(m.lru, st.LRU)
-	m.Stats = st.Stats
-}
-
 // Reset empties the cache and zeroes the counters.
 func (m *MDC) Reset() {
 	m.Flush()

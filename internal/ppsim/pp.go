@@ -178,47 +178,6 @@ func (p *PP) EntryPC(entry string) (int, error) {
 	return pc, nil
 }
 
-// PPState is the deterministic between-handlers state of a protocol
-// processor: the persistent register conventions, the node's protocol
-// memory (which holds the directory), the incoming-header bank, and the
-// dynamic statistics. Per-invocation transients (pc, outgoing header,
-// pending send, step budget) are excluded — capture is only legal with no
-// handler in flight.
-type PPState struct {
-	Regs  [32]uint64
-	Mem   []uint64
-	InHdr [ppisa.NumHdrFields]uint64
-	Stats Stats
-}
-
-// CaptureState snapshots an idle PP. It panics if a handler is running or a
-// send is pending: MAGIC only snapshots a quiesced machine.
-func (p *PP) CaptureState() PPState {
-	if p.running || p.hasPending {
-		panic("ppsim: CaptureState with a handler in flight")
-	}
-	return PPState{
-		Regs:  p.regs,
-		Mem:   append([]uint64(nil), p.Mem...),
-		InHdr: p.inHdr,
-		Stats: p.Stats,
-	}
-}
-
-// RestoreState installs a captured state into a PP built from the same
-// program and memory size.
-func (p *PP) RestoreState(st PPState) {
-	if len(st.Mem) != len(p.Mem) {
-		panic("ppsim: protocol memory size mismatch in RestoreState")
-	}
-	p.regs = st.Regs
-	copy(p.Mem, st.Mem)
-	p.inHdr = st.InHdr
-	p.Stats = st.Stats
-	p.running = false
-	p.hasPending = false
-}
-
 // Reset zeroes the PP's persistent state (registers, protocol memory,
 // headers, statistics). The caller re-runs protocol-memory initialization
 // and the pp_init handler afterwards, exactly as at machine construction.

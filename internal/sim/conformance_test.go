@@ -28,17 +28,6 @@ func backendCases() []backendCase {
 			e.Workers = 1
 			return e
 		}},
-		{"watermark", func(nodes int, window sim.Cycle) sim.Backend {
-			e := sim.NewShardedEngine(nodes, window)
-			e.SetSync(sim.SyncWatermark)
-			return e
-		}},
-		{"watermark-1worker", func(nodes int, window sim.Cycle) sim.Backend {
-			e := sim.NewShardedEngine(nodes, window)
-			e.SetSync(sim.SyncWatermark)
-			e.Workers = 1
-			return e
-		}},
 	}
 }
 

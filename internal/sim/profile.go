@@ -37,31 +37,9 @@ type EngineProfile struct {
 	// BarrierNS is per-worker time spent spinning at the window barrier;
 	// index 0 is the coordinating goroutine.
 	BarrierNS []int64 `json:"barrier_ns,omitempty"`
-	// Sync is the sharded engine's shard-synchronization scheme ("barrier"
-	// or "watermark"); empty for seq.
-	Sync string `json:"sync,omitempty"`
-	// HorizonNS is per-worker time spent asleep waiting for peer frontiers
-	// to uncover more safe work (watermark mode); index 0 is the goroutine
-	// that called Run.
-	HorizonNS []int64 `json:"horizon_ns,omitempty"`
-	// SolveNS is time spent in the quiescent decide step: sweeping mailboxes
-	// and solving the null-message fixpoint that advances frontiers
-	// (watermark mode).
-	SolveNS int64 `json:"solve_ns,omitempty"`
-	// Solves counts decide invocations and SolveOps the per-shard scan steps
-	// they performed (watermark mode).
-	Solves   uint64 `json:"solves,omitempty"`
-	SolveOps uint64 `json:"solve_ops,omitempty"`
-	// WaitOps counts worker sleeps on the scheduler condition — the
-	// watermark analogue of a barrier crossing, paid only when a worker
-	// actually runs out of safe work.
-	WaitOps uint64 `json:"wait_ops,omitempty"`
-	// GateAdvances counts store-visibility gate advances: one per occupied
-	// window, however far apart those windows are (watermark mode).
-	GateAdvances uint64 `json:"gate_advances,omitempty"`
-	// CoordWindows counts coordinator window iterations (barrier mode);
-	// recorded even with profiling off because SyncOps derives the
-	// barrier-mode totals from it.
+	// CoordWindows counts coordinator window iterations (sharded only);
+	// recorded even with profiling off because SyncOps derives its totals
+	// from it.
 	CoordWindows uint64 `json:"coord_windows,omitempty"`
 	// Shards holds the per-shard breakdown (one pseudo-shard for seq).
 	Shards []ShardProfile `json:"shards"`
@@ -85,24 +63,13 @@ type ShardProfile struct {
 	// OutboxSent counts cross-shard deliveries routed from this shard per
 	// destination shard — the (src,dst) traffic matrix row.
 	OutboxSent []uint64 `json:"outbox_sent,omitempty"`
-	// Publishes counts frontier watermark advances recorded for this shard
-	// (at burst completion, under the scheduler lock), InboxDrains its
-	// nonempty mailbox drains, and InboxFlushes the batched appends it made
-	// into peer mailboxes (the latter two one lock acquisition each).
-	// Watermark mode only.
-	Publishes    uint64 `json:"publishes,omitempty"`
-	InboxDrains  uint64 `json:"inbox_drains,omitempty"`
-	InboxFlushes uint64 `json:"inbox_flushes,omitempty"`
 }
 
 // AccountedNS sums all attributed time: shard execution, barrier waits,
-// outbox drain, window merge, horizon waits, and frontier solving.
+// outbox drain, and window merge.
 func (p *EngineProfile) AccountedNS() int64 {
-	total := p.MergeNS + p.DrainNS + p.SolveNS
+	total := p.MergeNS + p.DrainNS
 	for _, ns := range p.BarrierNS {
-		total += ns
-	}
-	for _, ns := range p.HorizonNS {
 		total += ns
 	}
 	for i := range p.Shards {
@@ -111,28 +78,13 @@ func (p *EngineProfile) AccountedNS() int64 {
 	return total
 }
 
-// SyncOps totals the synchronization operations the run performed — the
-// quantity watermark mode exists to reduce. One unit is one operation on
-// shared scheduling state: a lock acquisition, a condition-variable sleep,
-// or one step of a scan over per-shard coordination state. Barrier mode
-// pays, every window, a full outbox-route scan (n² pair slots), a
-// next-event scan (n shards), and one barrier crossing per worker.
-// Watermark mode pays only for actual traffic and actual scheduling:
-// mailbox drains and batched mailbox flushes (one lock each), worker
-// sleeps, decide invocations (one queue rebuild + broadcast each), decide
-// scan steps, and gate advances. Frontier publishes ride inside scheduler
-// critical sections the worker already holds, so they appear in the
-// per-shard Publishes counters but add no operations here.
+// SyncOps totals the synchronization operations the run performed. One
+// unit is one operation on shared scheduling state: a barrier crossing or
+// one step of a scan over per-shard coordination state. Every window pays
+// a full outbox-route scan (n² pair slots), a next-event scan (n shards),
+// and one barrier crossing per worker.
 func (p *EngineProfile) SyncOps() uint64 {
 	n := uint64(len(p.Shards))
-	if p.Sync == "watermark" {
-		ops := p.Solves + p.SolveOps + p.WaitOps + p.GateAdvances
-		for i := range p.Shards {
-			s := &p.Shards[i]
-			ops += s.InboxDrains + s.InboxFlushes
-		}
-		return ops
-	}
 	return p.CoordWindows * (n*n + n + uint64(p.Workers))
 }
 
@@ -173,48 +125,21 @@ func (p *EngineProfile) ShardBarrierNS(i int) int64 {
 // engine wall time, then the per-shard table.
 func (p *EngineProfile) String() string {
 	var b strings.Builder
-	name := p.Engine
-	if p.Sync != "" {
-		name += "/" + p.Sync
-	}
 	fmt.Fprintf(&b, "%s engine: run %.3fs, %d worker(s), coverage %.1f%%\n",
-		name, float64(p.RunNS)/1e9, p.Workers, 100*p.Coverage())
+		p.Engine, float64(p.RunNS)/1e9, p.Workers, 100*p.Coverage())
 	totalNS := p.RunNS * int64(p.Workers)
 	if totalNS <= 0 {
 		totalNS = 1
 	}
-	var execNS, barrierNS, horizonNS int64
+	var execNS, barrierNS int64
 	for i := range p.Shards {
 		execNS += p.Shards[i].ExecNS
 	}
 	for _, ns := range p.BarrierNS {
 		barrierNS += ns
 	}
-	for _, ns := range p.HorizonNS {
-		horizonNS += ns
-	}
 	share := func(ns int64) string {
 		return fmt.Sprintf("%.2fs (%.1f%%)", float64(ns)/1e9, 100*float64(ns)/float64(totalNS))
-	}
-	if p.Sync == "watermark" {
-		fmt.Fprintf(&b, "  burst exec %s  horizon wait %s  frontier solve %s\n",
-			share(execNS), share(horizonNS), share(p.SolveNS))
-		fmt.Fprintf(&b, "  sync ops %d (solve %d in %d decides, waits %d, gate advances %d)\n",
-			p.SyncOps(), p.SolveOps, p.Solves, p.WaitOps, p.GateAdvances)
-		fmt.Fprintf(&b, "  %-5s %10s %7s %8s %7s %8s %9s %6s %7s %8s\n",
-			"shard", "exec_ms", "exec%", "bursts", "empty", "ev/burst", "heap_hw", "pubs", "drains", "flushes")
-		for i := range p.Shards {
-			s := &p.Shards[i]
-			perWin := 0.0
-			if s.Windows > 0 {
-				perWin = float64(s.Executed) / float64(s.Windows)
-			}
-			fmt.Fprintf(&b, "  %-5d %10.2f %6.1f%% %8d %7d %8.1f %9d %6d %7d %8d\n",
-				i, float64(s.ExecNS)/1e6, 100*float64(s.ExecNS)/float64(totalNS),
-				s.Windows, s.EmptyWindows, perWin, s.HeapHiWater,
-				s.Publishes, s.InboxDrains, s.InboxFlushes)
-		}
-		return b.String()
 	}
 	fmt.Fprintf(&b, "  window exec %s  barrier wait %s  outbox drain %s  merge %s\n",
 		share(execNS), share(barrierNS), share(p.DrainNS), share(p.MergeNS))

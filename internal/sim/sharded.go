@@ -38,17 +38,6 @@ type ShardedEngine struct {
 	// min(len(shards), GOMAXPROCS). Exposed for differential tests.
 	Workers int
 
-	// sync selects the shard-synchronization scheme: the full window
-	// barrier (default) or per-pair watermarks (watermark.go).
-	sync SyncMode
-	// look is the per-(src,dst) lookahead matrix (nil = uniform window).
-	look *lookahead
-	// wmGate is the watermark-mode store-visibility gate: events at cycles
-	// < wmGate may execute given the flushes already performed. 0 means
-	// uninitialized; set on the first watermark Run when a flush is
-	// installed.
-	wmGate Cycle
-
 	running bool
 	stopReq atomic.Bool
 
@@ -62,10 +51,10 @@ type ShardedEngine struct {
 	winLim Cycle
 	quit   bool
 
-	// coordWins counts coordinator window iterations (barrier mode) across
-	// the engine's lifetime; always on (one increment per window) because
-	// the synchronization-cost accounting in profile.go derives the
-	// barrier-mode op totals from it.
+	// coordWins counts coordinator window iterations across the engine's
+	// lifetime; always on (one increment per window) because the
+	// synchronization-cost accounting in profile.go derives the op totals
+	// from it.
 	coordWins uint64
 
 	// Self-profiling (off unless EnableProfiling was called). The chained
@@ -78,46 +67,16 @@ type ShardedEngine struct {
 	mergeNS     int64
 	drainNS     int64
 	barrierNS   []int64
-
-	// Watermark-mode self-profiling: per-worker horizon-wait time, decide
-	// (frontier solve) time, and the synchronization-operation counters
-	// described in profile.go. Engine-level counters are only written under
-	// the scheduler lock or by the deciding worker.
-	horizonNS []int64
-	solveNS   int64
-	wmSolves  uint64
-	wmSolveOp uint64
-	wmWaitOps uint64
-	wmGateAdv uint64
-
-	// Watermark scheduler state: frS holds every shard's committed frontier
-	// (written at burst completion and by the non-metric fixpoint, always
-	// under the scheduler lock); hzS/nextS/hasS are decide() scratch, reused
-	// across decisions to stay allocation-free.
-	frS   []Cycle
-	hzS   []Cycle
-	nextS []Cycle
-	hasS  []bool
 }
 
 // Shard is one node's slice of the event population. It implements
 // Scheduler; all of a node's components schedule through their shard.
 type Shard struct {
 	queue
-	id       int
 	eng      *ShardedEngine
 	executed uint64
 	stopped  bool
 	outbox   [][]delivery // per destination shard, drained at barriers
-
-	// Watermark-mode synchronization state: inbox is the MPSC mailbox peers
-	// append staged deliveries into (batched, one lock per burst per pair);
-	// the quiescent scheduler swaps it against inboxSpare when it drains.
-	// The shard's frontier itself lives in the scheduler's frS array,
-	// maintained under the scheduler lock (see watermark.go).
-	inMu       sync.Mutex
-	inbox      []delivery
-	inboxSpare []delivery
 
 	// Self-profiling fields, written only by the goroutine driving this
 	// shard (or by the coordinator at barriers, for sent).
@@ -126,9 +85,6 @@ type Shard struct {
 	emptyWins   uint64
 	maxEvWindow uint64
 	sent        []uint64 // deliveries routed per destination shard
-	pubs        uint64   // frontier publishes (watermark)
-	drains      uint64   // nonempty inbox drains (watermark)
-	inFlushes   uint64   // batched appends into peer inboxes (watermark)
 }
 
 type delivery struct {
@@ -152,20 +108,13 @@ func NewShardedEngine(n int, window Cycle) *ShardedEngine {
 	e := &ShardedEngine{window: window}
 	e.shards = make([]*Shard, n)
 	for i := range e.shards {
-		e.shards[i] = &Shard{id: i, eng: e, outbox: make([][]delivery, n)}
+		e.shards[i] = &Shard{eng: e, outbox: make([][]delivery, n)}
 	}
 	return e
 }
 
 // Node returns node i's shard.
 func (e *ShardedEngine) Node(i int) Scheduler { return e.shards[i] }
-
-// SetSync selects the shard-synchronization scheme; see SyncMode. Call
-// before Run.
-func (e *ShardedEngine) SetSync(m SyncMode) { e.sync = m }
-
-// Sync reports the engine's shard-synchronization scheme.
-func (e *ShardedEngine) Sync() SyncMode { return e.sync }
 
 // SetLimit sets the cycle limit (0 = none).
 func (e *ShardedEngine) SetLimit(l Cycle) { e.limit = l }
@@ -201,13 +150,6 @@ func (e *ShardedEngine) Profile() *EngineProfile {
 		MergeNS:      e.mergeNS,
 		DrainNS:      e.drainNS,
 		BarrierNS:    append([]int64(nil), e.barrierNS...),
-		Sync:         e.sync.String(),
-		HorizonNS:    append([]int64(nil), e.horizonNS...),
-		SolveNS:      e.solveNS,
-		Solves:       e.wmSolves,
-		SolveOps:     e.wmSolveOp,
-		WaitOps:      e.wmWaitOps,
-		GateAdvances: e.wmGateAdv,
 		CoordWindows: e.coordWins,
 	}
 	for _, s := range e.shards {
@@ -219,9 +161,6 @@ func (e *ShardedEngine) Profile() *EngineProfile {
 			MaxEventsWindow: s.maxEvWindow,
 			HeapHiWater:     uint64(s.hiWater),
 			OutboxSent:      append([]uint64(nil), s.sent...),
-			Publishes:       s.pubs,
-			InboxDrains:     s.drains,
-			InboxFlushes:    s.inFlushes,
 		})
 	}
 	return p
@@ -233,8 +172,8 @@ func (e *ShardedEngine) Profile() *EngineProfile {
 func (e *ShardedEngine) Stop() { e.stopReq.Store(true) }
 
 // Reset returns the engine to its freshly constructed state: every shard's
-// queue and mailboxes emptied, all clocks at 0, executed counts cleared.
-// Window/sync/lookahead configuration and profiling accumulation survive.
+// queue and outboxes emptied, all clocks at 0, executed counts cleared.
+// The window and profiling accumulation survive.
 // Must not be called while Run is in progress.
 func (e *ShardedEngine) Reset() {
 	for _, s := range e.shards {
@@ -244,19 +183,10 @@ func (e *ShardedEngine) Reset() {
 		for i := range s.outbox {
 			s.outbox[i] = s.outbox[i][:0]
 		}
-		s.inMu.Lock()
-		s.inbox = s.inbox[:0]
-		s.inboxSpare = s.inboxSpare[:0]
-		s.inMu.Unlock()
 	}
 	e.curWin = 0
 	e.limit = 0
-	e.wmGate = 0
 	e.stopReq.Store(false)
-	for i := range e.frS {
-		e.frS[i], e.hzS[i], e.nextS[i] = 0, 0, 0
-		e.hasS[i] = false
-	}
 }
 
 // Now returns the globally latest shard clock: the cycle of the last event
@@ -281,8 +211,7 @@ func (e *ShardedEngine) ExecutedEvents() uint64 {
 	return n
 }
 
-// Pending reports undispatched events across all shards, outboxes, and
-// watermark inboxes.
+// Pending reports undispatched events across all shards and outboxes.
 func (e *ShardedEngine) Pending() int {
 	n := 0
 	for _, s := range e.shards {
@@ -290,9 +219,6 @@ func (e *ShardedEngine) Pending() int {
 		for _, box := range s.outbox {
 			n += len(box)
 		}
-		s.inMu.Lock()
-		n += len(s.inbox)
-		s.inMu.Unlock()
 	}
 	return n
 }
@@ -351,9 +277,8 @@ func (e *ShardedEngine) poolSize() int {
 // Run executes until every shard drains, Stop is called, or the cycle limit
 // is exceeded. Limit semantics match the sequential engine: an event at
 // exactly the limit runs; ErrLimit is returned when only events beyond it
-// remain. The barrier scheme below runs uniform lookahead windows separated
-// by full rendezvous; SyncWatermark delegates to the per-pair watermark
-// scheduler in watermark.go.
+// remain. Shards run uniform lookahead windows separated by full
+// rendezvous.
 func (e *ShardedEngine) Run() error {
 	e.stopReq.Store(false)
 	for _, s := range e.shards {
@@ -362,10 +287,6 @@ func (e *ShardedEngine) Run() error {
 	if e.limit != 0 && e.Now() > e.limit {
 		return ErrLimit
 	}
-	if e.sync == SyncWatermark {
-		return e.runWatermark()
-	}
-
 	n := len(e.shards)
 	p := e.poolSize()
 
@@ -580,35 +501,19 @@ func (s *Shard) Stop() {
 }
 
 // Deliver routes a message arrival to shard dst. During a run the delivery
-// parks in this shard's outbox (merged at the barrier in barrier mode,
-// batch-appended to the destination inbox after the burst in watermark
-// mode); outside Run — e.g. test setup — it goes straight into the
-// destination heap. Arrivals whose transit undercuts the conservative
-// synchronization contract panic, naming the (src,dst) pair and the pair's
-// lookahead bound.
+// parks in this shard's outbox until the window barrier merges it; outside
+// Run — e.g. test setup — it goes straight into the destination heap.
+// Arrivals that land inside the executing window (transit below the
+// lookahead window) panic, naming the (src,dst) pair and the window.
 func (s *Shard) Deliver(at Cycle, src, dst int, seq uint64, fn func()) {
 	e := s.eng
 	if !e.running {
 		e.shards[dst].deliver(at, src, seq, fn)
 		return
 	}
-	if e.sync == SyncWatermark {
-		if lb := e.pairLookahead(src, dst); at < s.now+lb {
-			panic(fmt.Sprintf("sim: sharded delivery %d->%d at cycle %d sent at %d: transit %d below pair lookahead %d",
-				src, dst, at, s.now, at-s.now, lb))
-		}
-		if dst == s.id {
-			// Self-deliveries join the shard's own heap directly: the
-			// (at, key) order is identical to routing through a mailbox.
-			s.push(event{at: at, key: deliveryKey(src, seq), fn: fn})
-			return
-		}
-		s.outbox[dst] = append(s.outbox[dst], delivery{at: at, key: deliveryKey(src, seq), fn: fn})
-		return
-	}
 	if at < e.winEnd {
 		panic(fmt.Sprintf("sim: sharded delivery %d->%d at cycle %d inside window ending %d (transit below pair lookahead %d)",
-			src, dst, at, e.winEnd, e.pairLookahead(src, dst)))
+			src, dst, at, e.winEnd, e.window))
 	}
 	s.outbox[dst] = append(s.outbox[dst], delivery{at: at, key: deliveryKey(src, seq), fn: fn})
 }

@@ -1,7 +1,9 @@
 package sim_test
 
 import (
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"flashsim/internal/memsys"
@@ -229,5 +231,147 @@ func TestShardedStopFromShard(t *testing.T) {
 	}
 	if e.Pending() == 0 {
 		t.Fatal("pending event discarded by Stop")
+	}
+}
+
+// TestBarrierViolationPanicNamesPair pins the guard rail's message shape:
+// the panic names the offending (src,dst) pair, the window it landed in,
+// and the lookahead bound it undercut.
+func TestBarrierViolationPanicNamesPair(t *testing.T) {
+	e := sim.NewShardedEngine(2, 10)
+	e.Workers = 1
+	s := e.Node(0)
+	s.At(5, func() {
+		s.Deliver(7, 0, 1, 1, func() {})
+	})
+	defer func() {
+		r := recover()
+		if r == nil {
+			t.Fatal("in-window delivery did not panic")
+		}
+		msg := fmt.Sprint(r)
+		for _, want := range []string{"0->1", "at cycle 7", "window ending 10", "pair lookahead 10"} {
+			if !strings.Contains(msg, want) {
+				t.Fatalf("panic %q missing %q", msg, want)
+			}
+		}
+	}()
+	_ = e.Run()
+}
+
+// runTortureEcho is the echo-chain torture: per-node event chains whose
+// deliveries travel at exactly the lookahead window (the minimum transit
+// the engine permits) and whose handlers echo straight back to the sender
+// — the tightest causal loops the synchronization contract allows. quantum
+// 0 runs with no store-visibility flush at all; a nonzero quantum installs
+// the flush with memsys views. gap bounds each node's local chain spacing:
+// large gaps leave lone event-holders with long runs of empty windows,
+// small gaps pack several events per node into one window so echoes
+// interleave with them.
+func runTortureEcho(b sim.Backend, quantum sim.Cycle, gap uint64) tortureResult {
+	var store *memsys.Store
+	var views []*memsys.View
+	if quantum != 0 {
+		store = memsys.NewStore(tortureWords * 8)
+		views = make([]*memsys.View, tortureNodes)
+		for i := range views {
+			views[i] = memsys.NewView(store)
+		}
+		b.SetQuantum(quantum, func() {
+			for _, v := range views {
+				v.Flush()
+			}
+		})
+	}
+
+	logs := make([][]uint64, tortureNodes)
+	rngs := make([]uint64, tortureNodes)
+	seqs := make([]uint64, tortureNodes)
+	for i := range rngs {
+		rngs[i] = uint64(0x9e3779b97f4a7c15 * uint64(i+1))
+	}
+	// send dispatches a minimum-transit delivery src->dst; its handler logs,
+	// optionally stores, and echoes back to src with depth-1 until the chain
+	// dies, producing src->dst->src->... ping-pong at the lookahead bound.
+	var send func(src, dst, depth int, payload uint64)
+	send = func(src, dst, depth int, payload uint64) {
+		s := b.Node(src)
+		at := s.Now() + tortureWindow
+		seqs[src]++
+		s.Deliver(at, src, dst, seqs[src], func() {
+			d := b.Node(dst)
+			logs[dst] = append(logs[dst], uint64(d.Now())<<24|uint64(src)<<8|uint64(depth))
+			if views != nil {
+				views[dst].Store(payload%tortureWords, payload^uint64(d.Now()))
+			}
+			if depth > 0 {
+				send(dst, src, depth-1, payload>>1)
+			}
+		})
+	}
+	var tick func(i, n int)
+	tick = func(i, n int) {
+		s := b.Node(i)
+		r := xorshift(&rngs[i])
+		logs[i] = append(logs[i], uint64(s.Now())<<24|uint64(i)<<16|r&0xffff)
+		switch r % 3 {
+		case 0:
+			send(i, int((r>>8)%tortureNodes), int(r>>4%4), r)
+		case 1:
+			if views != nil {
+				logs[i] = append(logs[i], views[i].Load((r>>4)%tortureWords)<<1|1)
+			}
+		}
+		if n > 0 {
+			s.After(1+sim.Cycle(r%gap), func() { tick(i, n-1) })
+		}
+	}
+	for i := 0; i < tortureNodes; i++ {
+		i := i
+		b.Node(i).At(sim.Cycle(1+i), func() { tick(i, tortureSteps/3) })
+	}
+	res := tortureResult{err: b.Run()}
+	res.logs = logs
+	if store != nil {
+		for _, v := range views {
+			v.Flush()
+		}
+		res.words = make([]uint64, tortureWords)
+		for w := range res.words {
+			res.words[w] = store.Load(uint64(w))
+		}
+	}
+	res.executed = b.ExecutedEvents()
+	for _, s := range seqs {
+		res.sends += s
+	}
+	res.now = b.Now()
+	return res
+}
+
+// TestShardedDifferentialTortureEchoFlushFree runs sparse minimum-transit
+// echo chains with no store flush and no limit: most windows are empty on
+// most shards, and every echo lands exactly one window after its send.
+func TestShardedDifferentialTortureEchoFlushFree(t *testing.T) {
+	want := runTortureEcho(sim.NewEngine(), 0, 499)
+	for _, workers := range []int{1, 2, tortureNodes} {
+		e := sim.NewShardedEngine(tortureNodes, tortureWindow)
+		e.Workers = workers
+		got := runTortureEcho(e, 0, 499)
+		compareTorture(t, fmt.Sprintf("echo-flush-free/workers=%d", workers), want, got)
+	}
+}
+
+// TestShardedDifferentialTortureEchoGated packs dense local chains and
+// minimum-transit echoes into the same windows, with window-quantized
+// stores through memsys views, so each round trip (two windows) interleaves
+// with local events and store flushes.
+func TestShardedDifferentialTortureEchoGated(t *testing.T) {
+	want := runTortureEcho(sim.NewEngine(), tortureWindow, 24)
+	for _, workers := range []int{1, 2, tortureNodes} {
+		e := sim.NewShardedEngine(tortureNodes, tortureWindow)
+		e.Workers = workers
+		got := runTortureEcho(e, tortureWindow, 24)
+		compareTorture(t, fmt.Sprintf("echo-gated/workers=%d", workers), want, got)
 	}
 }

@@ -205,16 +205,6 @@ type Ctx struct {
 	// the machine keeps advancing underneath a long hit-read run.
 	proc     *cpu.CPU
 	ffStreak int
-
-	// Snapshot support (see Checkpoint). rec, when recording, accumulates
-	// the data result of every blocking reference in completion order.
-	// replay, when non-empty, holds recorded results still to be consumed:
-	// blocking references yield their batches normally (rebuilding the
-	// coroutine's parked position) but take their result from the log
-	// instead of from a simulated completion.
-	recOn  bool
-	rec    []uint64
-	replay []uint64
 }
 
 // ffLocalMax caps consecutive FFLocalRead hits between coroutine crossings:
@@ -264,23 +254,6 @@ func (c *Ctx) issueWait(r cpu.Ref) {
 	}
 }
 
-// wait issues a blocking reference and returns its data result — the value
-// the simulated machine completed it with, recorded if the thread is being
-// checkpointed. While replaying a recorded prefix the yields still run
-// (walking the coroutine back to its parked position and regenerating the
-// reference stream the donor already executed) but the result comes from
-// the log: no machine is consuming the batches, so c.out was never written.
-func (c *Ctx) wait(r cpu.Ref) uint64 {
-	c.issueWait(r)
-	if len(c.replay) > 0 {
-		c.out = c.replay[0]
-		c.replay = c.replay[1:]
-	} else if c.recOn {
-		c.rec = append(c.rec, c.out)
-	}
-	return c.out
-}
-
 // ReadU loads the 8-byte word at a. On sampled machines a fast-forward
 // cache-hit read completes functionally without waking the processor; the
 // read's instruction is deferred into the busy count the next crossing
@@ -302,7 +275,8 @@ func (c *Ctx) ReadU(a arch.Addr) uint64 {
 			return v
 		}
 	}
-	return c.wait(cpu.Ref{Kind: arch.RefRead, Addr: a, Out: &c.out})
+	c.issueWait(cpu.Ref{Kind: arch.RefRead, Addr: a, Out: &c.out})
+	return c.out
 }
 
 // WriteU stores v at a (non-blocking in the simulated machine).
@@ -316,7 +290,8 @@ func (c *Ctx) WriteF(a arch.Addr, v float64) { c.WriteU(a, math.Float64bits(v)) 
 
 // readSync is a spin-loop read, attributed to synchronization time.
 func (c *Ctx) readSync(a arch.Addr) uint64 {
-	return c.wait(cpu.Ref{Kind: arch.RefRead, Addr: a, Out: &c.out, Sync: true})
+	c.issueWait(cpu.Ref{Kind: arch.RefRead, Addr: a, Out: &c.out, Sync: true})
+	return c.out
 }
 
 func (c *Ctx) writeSync(a arch.Addr, v uint64) {
@@ -325,19 +300,22 @@ func (c *Ctx) writeSync(a arch.Addr, v uint64) {
 
 // Swap atomically exchanges v into a, returning the old value.
 func (c *Ctx) Swap(a arch.Addr, v uint64) uint64 {
-	return c.wait(cpu.Ref{Kind: arch.RefRMW, RMW: cpu.RMWSwap, Addr: a, WVal: v, Out: &c.out, Sync: true})
+	c.issueWait(cpu.Ref{Kind: arch.RefRMW, RMW: cpu.RMWSwap, Addr: a, WVal: v, Out: &c.out, Sync: true})
+	return c.out
 }
 
 // FetchAdd atomically adds v to a, returning the old value. It is part of
 // the synchronization library (stall time charged to Sync).
 func (c *Ctx) FetchAdd(a arch.Addr, v uint64) uint64 {
-	return c.wait(cpu.Ref{Kind: arch.RefRMW, RMW: cpu.RMWAdd, Addr: a, WVal: v, Out: &c.out, Sync: true})
+	c.issueWait(cpu.Ref{Kind: arch.RefRMW, RMW: cpu.RMWAdd, Addr: a, WVal: v, Out: &c.out, Sync: true})
+	return c.out
 }
 
 // FetchAddData is an atomic add on application data (stall time charged as
 // an ordinary write): the shared-counter updates of codes like MP3D.
 func (c *Ctx) FetchAddData(a arch.Addr, v uint64) uint64 {
-	return c.wait(cpu.Ref{Kind: arch.RefRMW, RMW: cpu.RMWAdd, Addr: a, WVal: v, Out: &c.out})
+	c.issueWait(cpu.Ref{Kind: arch.RefRMW, RMW: cpu.RMWAdd, Addr: a, WVal: v, Out: &c.out})
+	return c.out
 }
 
 // Rand returns a deterministic per-thread pseudo-random uint64 (xorshift);
@@ -356,20 +334,9 @@ func (c *Ctx) Rand() uint64 {
 // batch it produces is held pending for the NextBatch call that follows.
 type threadSource struct {
 	next       func() ([]cpu.Ref, bool)
-	ctx        *Ctx
-	pulls      int
 	pending    []cpu.Ref
 	pendingOK  bool
 	hasPending bool
-}
-
-// pull resumes the coroutine once, counting the resume so a checkpoint can
-// record how many times the donor advanced this thread — the fork replay
-// pumps its reconstructed coroutine exactly that many times to park it at
-// the same program point.
-func (s *threadSource) pull() ([]cpu.Ref, bool) {
-	s.pulls++
-	return s.next()
 }
 
 func (s *threadSource) NextBatch() ([]cpu.Ref, bool) {
@@ -378,42 +345,12 @@ func (s *threadSource) NextBatch() ([]cpu.Ref, bool) {
 		s.pending, s.hasPending = nil, false
 		return b, ok
 	}
-	return s.pull()
+	return s.next()
 }
 
 func (s *threadSource) ReadDone() {
-	s.pending, s.pendingOK = s.pull()
+	s.pending, s.pendingOK = s.next()
 	s.hasPending = true
-}
-
-// threadSeed is the per-thread xorshift PRNG seed; identical for a thread
-// and its replayed fork so Rand streams reproduce.
-func threadSeed(i int) uint64 { return uint64(i)*0x9E3779B97F4A7C15 + 0x1234567 }
-
-// newThread builds a Ctx and its coroutine source for processor i running
-// fn. The coroutine body is shared by first runs, recorded prefixes, and
-// fork replays — only the Ctx mode fields differ.
-func (w *World) newThread(i int, fn func(*Ctx)) *threadSource {
-	c := &Ctx{
-		W: w, ID: i,
-		senses: make(map[*Barrier]uint64),
-		prng:   threadSeed(i),
-	}
-	if w.Cfg.Sample.Enabled() {
-		c.proc = w.M.Nodes[i].CPU
-	}
-	next, _ := iter.Pull(func(yield func([]cpu.Ref) bool) {
-		c.yield = yield
-		defer func() {
-			// Trailing non-blocking references still ride to the CPU
-			// before the stream ends.
-			if len(c.batch) > 0 {
-				yield(c.batch)
-			}
-		}()
-		fn(c)
-	})
-	return &threadSource{next: next, ctx: c}
 }
 
 // Run runs one coroutine per processor executing fn(ctx) and runs the
@@ -425,9 +362,29 @@ func (w *World) newThread(i int, fn func(*Ctx)) *threadSource {
 // control directly, and the simulated behavior is identical either way:
 // resume order is decided by simulated time, never by the host scheduler.
 func (w *World) Run(fn func(*Ctx), limit uint64) error {
-	srcs := make([]cpu.RefSource, w.Cfg.Nodes)
-	for i := range srcs {
-		srcs[i] = w.newThread(i, fn)
+	n := w.Cfg.Nodes
+	srcs := make([]cpu.RefSource, n)
+	for i := 0; i < n; i++ {
+		c := &Ctx{
+			W: w, ID: i,
+			senses: make(map[*Barrier]uint64),
+			prng:   uint64(i)*0x9E3779B97F4A7C15 + 0x1234567,
+		}
+		if w.Cfg.Sample.Enabled() {
+			c.proc = w.M.Nodes[i].CPU
+		}
+		next, _ := iter.Pull(func(yield func([]cpu.Ref) bool) {
+			c.yield = yield
+			defer func() {
+				// Trailing non-blocking references still ride to the CPU
+				// before the stream ends.
+				if len(c.batch) > 0 {
+					yield(c.batch)
+				}
+			}()
+			fn(c)
+		})
+		srcs[i] = &threadSource{next: next}
 	}
 	// A deadlocked or over-limit machine leaves thread coroutines parked in
 	// their yield; they are abandoned (the error is fatal to the simulation
